@@ -1,4 +1,4 @@
-"""Forest throughput benchmark: training engines + flattened inference.
+"""Forest throughput benchmark: training engine + flattened inference.
 
 Tracks the ML half of the pipeline's hot path: training the
 section-5.4 price forest and scoring every encrypted impression in
@@ -7,24 +7,24 @@ dataset D.
 Two records:
 
 * ``BENCH_forest_train.json`` (``train_matrix``) -- the **training
-  engine matrix** over a feature-set-S-shaped matrix (the paper's
-  section-5.1 cardinalities): the legacy one-hot exact splitter (the
-  seed implementation, kept as ``best_classification_split_onehot``),
-  the allocation-free exact splitter, and the pre-binned ``hist``
-  engine, each at workers 1/N.  Asserted along the way: exact is
-  bit-identical to legacy, hist is bit-identical across worker counts,
-  and hist's holdout accuracy stays within a point of exact's.
-* ``BENCH_forest.json`` (``run_matrix``) -- the original workers sweep
-  + inference traversal sweep below.
+  matrix** over a feature-set-S-shaped matrix (the paper's section-5.1
+  cardinalities): the histogram engine at workers 1/N against a forest
+  grown by the exact recursive reference grower (``tests/ml/
+  reference.py``, the engine hist replaced).  Asserted along the way:
+  hist payloads are byte-identical across worker counts, and hist's
+  holdout accuracy stays within a point of the reference's.
+* ``BENCH_forest.json`` (``run_matrix``) -- the workers sweep + the
+  inference traversal sweep below.
 
 Reports, as one JSON record (``BENCH_forest.json``):
 
 * ``train_rows_per_sec`` per worker count (1/2/4 by default), with the
   bit-identical-to-sequential guarantee asserted along the way;
-* ``predict_rows_per_sec`` per traversal mode -- naive per-row
-  recursion, the index-partition node walk, and the flattened
-  level-synchronous batch walk -- over >= 50k rows through a 60-tree,
-  depth-18 forest (the paper's production shape);
+* ``predict_rows_per_sec`` per traversal -- naive per-row recursion and
+  an index-partition node walk (baselines local to this bench) against
+  the flattened level-synchronous batch walk, the forest's only
+  inference path -- over >= 50k rows through a 60-tree, depth-18
+  forest (the paper's production shape);
 * ``speedup_vs_per_row`` / ``speedup_vs_sequential`` so the acceptance
   bar (flattened >= 5x per-row recursion) is visible in the record;
 * ``cpu_count`` and ``git_sha`` provenance, matching
@@ -55,19 +55,21 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.serialize import dumps, forest_to_dict
-from repro.ml.tree import _SplitSearch
 
 try:  # package import under pytest, sibling import as a script
     from ._record import provenance
 except ImportError:  # pragma: no cover - script mode
     from _record import provenance
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from tests.ml.reference import reference_forest
 
 #: The paper's production forest shape (section 5.4 / EncryptedPriceModel).
 N_ESTIMATORS = 60
@@ -131,37 +133,6 @@ def _feature_set_s(n_rows: int, seed: int = 20151231) -> tuple[np.ndarray, np.nd
     return x, y.astype(int)
 
 
-@contextmanager
-def _legacy_onehot_splitter():
-    """Swap the seed one-hot exact splitter back in (timing baseline).
-
-    The seed engine called the one-hot splitter once per (node,
-    candidate feature); the growth loop now routes through the batched
-    ``best_classification_split_multi``, so the legacy baseline is
-    restored by patching that entry with a per-column one-hot loop --
-    reproducing the seed's per-call overhead profile as well as its
-    arithmetic.  The pool workers see the patch too: fork happens at
-    pool creation, after the class attribute is swapped.
-    """
-
-    def _onehot_multi(cols, y, n_classes, criterion, nan_free=False):
-        return [
-            _SplitSearch.best_classification_split_onehot(
-                cols[:, j], y, n_classes, criterion
-            )
-            for j in range(cols.shape[1])
-        ]
-
-    original = _SplitSearch.__dict__["best_classification_split_multi"]
-    _SplitSearch.best_classification_split_multi = staticmethod(  # type: ignore[method-assign]
-        _onehot_multi
-    )
-    try:
-        yield
-    finally:
-        _SplitSearch.best_classification_split_multi = original  # type: ignore[method-assign]
-
-
 def train_matrix(
     train_rows: int = 50_000,
     eval_rows: int = 10_000,
@@ -170,85 +141,78 @@ def train_matrix(
     max_depth: int = MAX_DEPTH,
     repeats: int = 1,
 ) -> dict:
-    """Time the three training engines over feature set S.
+    """Time hist training across ``workers_list`` against the reference.
 
-    Engines: ``exact-onehot-legacy`` (the seed splitter, patched back
-    in), ``exact`` (allocation-free integer-count rewrite) and ``hist``
-    (pre-binned histogram engine), the latter two across
-    ``workers_list``.  Contracts asserted, not just reported:
+    The reference is a forest of the same shape and bootstrap draws
+    grown by the exact recursive grower, single-process.  Contracts
+    asserted, not just reported:
 
-    * exact == legacy bit for bit (same trees, same payload);
-    * exact and hist are each bit-identical across worker counts;
-    * hist holdout accuracy within one point of exact's (all S
+    * hist payloads are byte-identical across worker counts;
+    * hist holdout accuracy within one point of the reference's (all S
       cardinalities are < 256, so hist scans the same candidate
-      thresholds the exact engine does).
+      thresholds the exact search does).
     """
     workers_list = tuple(sorted({1, *workers_list}))
     x_all, y_all = _feature_set_s(train_rows + eval_rows)
     x, y = x_all[:train_rows], y_all[:train_rows]
     x_eval, y_eval = x_all[train_rows:], y_all[train_rows:]
 
-    def fit(splitter: str, workers: int) -> RandomForestClassifier:
-        return RandomForestClassifier(
-            n_estimators=n_estimators,
-            max_depth=max_depth,
-            min_samples_leaf=2,
+    def holdout(forest) -> float:
+        return float(np.mean(forest.predict(x_eval) == y_eval))
+
+    ref_s, reference = _time(
+        lambda: reference_forest(
+            x, y, n_estimators, max_depth=max_depth, min_samples_leaf=2,
             seed=20151231,
-            workers=workers,
-            splitter=splitter,
-        ).fit(x, y)
-
-    records: list[dict] = []
-
-    with _legacy_onehot_splitter():
-        legacy_s, legacy = _time(lambda: fit("exact", 1), repeats)
-    legacy_payload = dumps(forest_to_dict(legacy))
-    records.append(
-        {
-            "engine": "exact-onehot-legacy",
-            "workers": 1,
-            "seconds": round(legacy_s, 4),
-            "train_rows_per_sec": round(train_rows / legacy_s, 1),
-            "holdout_accuracy": round(
-                float(np.mean(legacy.predict(x_eval) == y_eval)), 4
-            ),
-        }
+        ),
+        repeats,
     )
+    ref_acc = holdout(reference)
+    records: list[dict] = [
+        {
+            "engine": "exact-reference",
+            "workers": 1,
+            "seconds": round(ref_s, 4),
+            "train_rows_per_sec": round(train_rows / ref_s, 1),
+            "holdout_accuracy": round(ref_acc, 4),
+        }
+    ]
 
-    timings: dict[tuple[str, int], float] = {}
-    payloads: dict[tuple[str, int], str] = {}
-    accuracy: dict[str, float] = {}
-    for splitter in ("exact", "hist"):
-        for workers in workers_list:
-            t_s, forest = _time(lambda: fit(splitter, workers), repeats)
-            timings[(splitter, workers)] = t_s
-            payloads[(splitter, workers)] = dumps(forest_to_dict(forest))
-            acc = float(np.mean(forest.predict(x_eval) == y_eval))
-            accuracy[splitter] = acc
-            records.append(
-                {
-                    "engine": splitter,
-                    "workers": workers,
-                    "seconds": round(t_s, 4),
-                    "train_rows_per_sec": round(train_rows / t_s, 1),
-                    "holdout_accuracy": round(acc, 4),
-                    "speedup_vs_legacy": round(legacy_s / t_s, 2),
-                }
-            )
+    timings: dict[int, float] = {}
+    payloads: dict[int, str] = {}
+    for workers in workers_list:
+        t_s, forest = _time(
+            lambda: RandomForestClassifier(
+                n_estimators=n_estimators,
+                max_depth=max_depth,
+                min_samples_leaf=2,
+                seed=20151231,
+                workers=workers,
+            ).fit(x, y),
+            repeats,
+        )
+        timings[workers] = t_s
+        payloads[workers] = dumps(forest_to_dict(forest))
+        hist_acc = holdout(forest)
+        records.append(
+            {
+                "engine": "hist",
+                "workers": workers,
+                "seconds": round(t_s, 4),
+                "train_rows_per_sec": round(train_rows / t_s, 1),
+                "holdout_accuracy": round(hist_acc, 4),
+                "speedup_vs_reference": round(ref_s / t_s, 2),
+            }
+        )
 
     # -- contracts ----------------------------------------------------------
     for workers in workers_list:
-        assert payloads[("exact", workers)] == legacy_payload, (
-            f"exact (workers={workers}) diverged from the legacy one-hot engine"
-        )
-    hist_reference = payloads[("hist", 1)]
-    for workers in workers_list:
-        assert payloads[("hist", workers)] == hist_reference, (
+        assert payloads[workers] == payloads[1], (
             f"hist workers={workers} diverged from sequential"
         )
-    assert accuracy["hist"] >= accuracy["exact"] - 0.01, (
-        f"hist accuracy {accuracy['hist']:.4f} fell more than a point below "
-        f"exact {accuracy['exact']:.4f}"
+    assert hist_acc >= ref_acc - 0.01, (
+        f"hist accuracy {hist_acc:.4f} fell more than a point below the "
+        f"exact reference {ref_acc:.4f}"
     )
 
     return {
@@ -260,11 +224,7 @@ def train_matrix(
         "feature_cardinalities": list(S_CARDINALITIES),
         **provenance(),
         "speedups": {
-            "exact_vs_legacy": round(legacy_s / timings[("exact", 1)], 2),
-            "hist_vs_legacy": round(legacy_s / timings[("hist", 1)], 2),
-            "hist_vs_exact": round(
-                timings[("exact", 1)] / timings[("hist", 1)], 2
-            ),
+            "hist_vs_reference": round(ref_s / timings[1], 2),
         },
         "runs": records,
     }
@@ -272,29 +232,71 @@ def train_matrix(
 
 def _render_train(record: dict) -> list[str]:
     lines = [
-        f"Price-forest training engines ({record['n_estimators']} trees, "
+        f"Price-forest training ({record['n_estimators']} trees, "
         f"max depth {record['max_depth']}, {record['train_rows']:,} rows, "
         f"feature set S, {record['cpu_count']} CPUs, git {record['git_sha']}):",
         "",
-        f"{'engine':<22} {'workers':>7} {'seconds':>9} {'rows/sec':>12} "
-        f"{'acc':>7} {'vs legacy':>9}",
+        f"{'engine':<16} {'workers':>7} {'seconds':>9} {'rows/sec':>12} "
+        f"{'acc':>7} {'vs ref':>7}",
     ]
     for run in record["runs"]:
         lines.append(
-            f"{run['engine']:<22} {run['workers']:>7} {run['seconds']:>9.3f} "
+            f"{run['engine']:<16} {run['workers']:>7} {run['seconds']:>9.3f} "
             f"{run['train_rows_per_sec']:>12,.1f} "
             f"{run['holdout_accuracy']:>7.4f} "
-            f"{str(run.get('speedup_vs_legacy', '')):>9}"
+            f"{str(run.get('speedup_vs_reference', '')):>7}"
         )
-    s = record["speedups"]
     lines += [
         "",
-        f"exact vs legacy one-hot: {s['exact_vs_legacy']}x (bit-identical); "
-        f"hist vs legacy: {s['hist_vs_legacy']}x; "
-        f"hist vs exact: {s['hist_vs_exact']}x "
-        "(hist bit-identical across workers; accuracy within a point).",
+        f"hist vs exact reference: {record['speedups']['hist_vs_reference']}x "
+        "(hist byte-identical across workers; accuracy within a point).",
     ]
     return lines
+
+
+# -- inference baselines -----------------------------------------------------
+#
+# The forest scores only through the flattened arrays; these two walks
+# over the ``TreeNode`` graph are the baselines the flat walk is timed
+# against (and held bit-identical to).
+
+def _leaf_proba(counts: np.ndarray, n_classes: int) -> np.ndarray:
+    total = counts.sum()
+    return counts / total if total > 0 else np.full(n_classes, 1.0 / n_classes)
+
+
+def _per_row_proba(forest: RandomForestClassifier, x: np.ndarray) -> np.ndarray:
+    """Naive recursive descent: one pointer chase per (row, tree)."""
+    total = np.zeros((x.shape[0], forest.n_classes_), dtype=float)
+    for tree in forest.trees_:
+        out = np.empty_like(total)
+        for i in range(x.shape[0]):
+            node = tree.root_
+            while not node.is_leaf:
+                node = node.left if x[i, node.feature] <= node.threshold else node.right
+            out[i] = _leaf_proba(node.value, tree.n_classes_)
+        total += out
+    return total / len(forest.trees_)
+
+
+def _node_walk_proba(forest: RandomForestClassifier, x: np.ndarray) -> np.ndarray:
+    """Index-partition batch walk: one mask per visited node."""
+    total = np.zeros((x.shape[0], forest.n_classes_), dtype=float)
+    for tree in forest.trees_:
+        out = np.empty_like(total)
+        stack = [(tree.root_, np.arange(x.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
+            if idx.size == 0:
+                continue
+            if node.is_leaf:
+                out[idx] = _leaf_proba(node.value, tree.n_classes_)
+                continue
+            mask = x[idx, node.feature] <= node.threshold
+            stack.append((node.left, idx[mask]))
+            stack.append((node.right, idx[~mask]))
+        total += out
+    return total / len(forest.trees_)
 
 
 def run_matrix(
@@ -358,7 +360,7 @@ def run_matrix(
     # -- inference: traversal sweep ----------------------------------------
     n_per_row = min(predict_rows, per_row_cap or predict_rows)
     per_row_s, per_row_out = _time(
-        lambda: forest.predict_proba(x_pred[:n_per_row], traversal="per-row"),
+        lambda: _per_row_proba(forest, x_pred[:n_per_row]),
         1,  # the naive path is too slow to repeat
     )
     per_row_rate = n_per_row / per_row_s
@@ -373,7 +375,7 @@ def run_matrix(
     )
 
     nodes_s, nodes_out = _time(
-        lambda: forest.predict_proba(x_pred, traversal="nodes"), repeats
+        lambda: _node_walk_proba(forest, x_pred), repeats
     )
     records.append(
         {
@@ -387,7 +389,7 @@ def run_matrix(
     )
 
     flat_s, flat_out = _time(
-        lambda: forest.predict_proba(x_pred, traversal="flat"), repeats
+        lambda: forest.predict_proba(x_pred), repeats
     )
     assert np.array_equal(flat_out, nodes_out), "flat diverged from node walk"
     assert np.array_equal(flat_out[:n_per_row], per_row_out), (
@@ -444,8 +446,8 @@ def _render(record: dict) -> list[str]:
 # -- pytest entry points -----------------------------------------------------
 
 def test_forest_training_engines():
-    """CI smoke of the training-engine matrix (scaled by
-    ``REPRO_BENCH_SCALE``); writes ``BENCH_forest_train.json``."""
+    """CI smoke of the training matrix (scaled by ``REPRO_BENCH_SCALE``);
+    writes ``BENCH_forest_train.json``."""
     from .conftest import OUTPUT_DIR, bench_scale, emit
 
     scale = bench_scale()
@@ -458,7 +460,7 @@ def test_forest_training_engines():
         workers_list=(1, 4),
         n_estimators=max(12, int(N_ESTIMATORS * scale)),
         # Best-of-2 at full scale: single-CPU wall times swing by
-        # ~+-20% run to run, and the acceptance bars compare ratios of
+        # ~+-20% run to run, and the acceptance bar compares a ratio of
         # single measurements.  Minimum-of-N is the standard antidote.
         repeats=2 if scale >= 0.999 else 1,
     )
@@ -467,15 +469,10 @@ def test_forest_training_engines():
     (OUTPUT_DIR / "BENCH_forest_train.json").write_text(
         json.dumps(record, indent=2) + "\n"
     )
-    speedups = record["speedups"]
-    # The acceptance bars, relaxed at smoke scales (fewer rows per node
-    # means less sorting for the exact engines to lose).
-    if scale >= 0.999:
-        assert speedups["hist_vs_legacy"] >= 5.0
-        assert speedups["exact_vs_legacy"] >= 1.5
-    else:
-        assert speedups["hist_vs_legacy"] >= 2.0
-        assert speedups["exact_vs_legacy"] >= 1.1
+    # The speed bar, relaxed at smoke scales (fewer rows per node means
+    # less sorting for the exact reference to lose).
+    speedup = record["speedups"]["hist_vs_reference"]
+    assert speedup >= (4.0 if scale >= 0.999 else 2.0)
 
 
 def test_forest_throughput(benchmark):
@@ -509,9 +506,10 @@ def test_forest_throughput(benchmark):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--train-bench", action="store_true",
-                        help="run the training-engine matrix (legacy "
-                             "one-hot vs exact vs hist over feature set "
-                             "S) instead of the throughput matrix")
+                        help="run the training matrix (hist at 1/N "
+                             "workers vs the exact reference grower over "
+                             "feature set S) instead of the throughput "
+                             "matrix")
     parser.add_argument("--train-rows", type=int, default=None,
                         help="default 4000 (throughput) / 50000 (train "
                              "bench)")

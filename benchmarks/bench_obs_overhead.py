@@ -105,7 +105,7 @@ def _forest_stripped(forest: RandomForestClassifier, x) -> np.ndarray:
     """predict_proba without the obs.span wrapper."""
     total = np.zeros((x.shape[0], forest.n_classes_), dtype=float)
     for tree in forest.trees_:
-        total += forest._aligned_probs(tree, tree.predict_proba(x))
+        total += tree.predict_proba(x)
     return total / len(forest.trees_)
 
 

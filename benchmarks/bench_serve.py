@@ -90,6 +90,11 @@ def build_package(
     return package, rows[0]
 
 
+def _flushes(server: PmeServer) -> int:
+    """Micro-batch flushes so far, from the server's registry series."""
+    return int(server.metrics.obs_snapshot()["serve.batch.flushes"]["total"])
+
+
 async def _measure(
     package: dict,
     features: dict,
@@ -111,12 +116,12 @@ async def _measure(
             total=min(128, requests), concurrency=concurrency,
             features=features,
         )
-        warm_flushes = sum(server.metrics.batch_histogram().values())
+        warm_flushes = _flushes(server)
         result = await run_load(
             "127.0.0.1", server.port,
             total=requests, concurrency=concurrency, features=features,
         )
-        flushes = sum(server.metrics.batch_histogram().values()) - warm_flushes
+        flushes = _flushes(server) - warm_flushes
         assert result.errors == 0, f"{result.errors} estimate errors"
         return {
             "max_batch": max_batch,

@@ -52,7 +52,7 @@ __all__ = [
 
 def quickstart_pipeline(
     seed: int = 7, scale: float = 0.03, workers: int | None = 1,
-    chunk_size: int | None = None, splitter: str = "exact",
+    chunk_size: int | None = None,
 ) -> dict:
     """Run the whole methodology end-to-end at a small scale.
 
@@ -63,10 +63,7 @@ def quickstart_pipeline(
     narrated version.  ``workers`` parallelises both the analyzer scan
     (sharded by user) and the forest training step; any value is
     bit-identical to ``workers=1``.  ``chunk_size`` bounds the rows per
-    analyzer task.  ``splitter`` picks the forest split engine --
-    ``"exact"`` (default) or the pre-binned ``"hist"`` histogram engine
-    (faster at scale, statistically equivalent; see DESIGN.md §8).  Run
-    under ``with repro.obs.start_trace(...):`` to
+    analyzer task.  Run under ``with repro.obs.start_trace(...):`` to
     capture the per-stage span tree.
     """
     from repro import obs
@@ -86,7 +83,7 @@ def quickstart_pipeline(
     pme.bootstrap(analysis, use_paper_features=True)
     market = build_market(config, RngRegistry(config.seed))
     pme.run_probe_campaigns(market, auctions_per_setup=max(10, int(185 * scale)))
-    model = pme.train_model(evaluate=False, workers=workers, splitter=splitter)
+    model = pme.train_model(evaluate=False, workers=workers)
     from repro.core.pme import mopub_cleartext_prices
 
     pme.compute_time_correction(mopub_cleartext_prices(analysis))

@@ -58,7 +58,6 @@ from repro.analyzer.pipeline import (
 )
 from repro.trace.weblog import HttpRequest
 from repro.util.parallel import pool_context, resolve_workers
-from repro.util.validation import reject_legacy_kwargs
 
 __all__ = [
     "ShardPartial",
@@ -245,7 +244,6 @@ def analyze_parallel(
     geoip: GeoIpResolver | None = None,
     workers: int | None = None,
     chunk_size: int = 50_000,
-    **legacy,
 ) -> AnalysisResult:
     """Sharded parallel equivalent of :meth:`WeblogAnalyzer.analyze`.
 
@@ -256,12 +254,7 @@ def analyze_parallel(
     the single-pass sequential path in-process (no pool overhead).
     The returned result is identical to the sequential analyzer's:
     same observation order, traffic counts, and per-user aggregates.
-
-    Only ``workers=`` / ``chunk_size=`` are accepted; legacy spellings
-    (``n_jobs``, ``chunksize``, ...) raise a TypeError naming the
-    replacement.
     """
-    reject_legacy_kwargs("analyze_parallel", legacy)
     blacklist = blacklist or default_blacklist()
     geoip = geoip or GeoIpResolver()
     workers = resolve_workers(workers)

@@ -29,7 +29,6 @@ from repro.analyzer.useragent import parse_user_agent
 from repro.rtb.nurl import parse_nurl
 from repro.trace.weblog import HttpRequest
 from repro.util.timeutil import month_of, year_of
-from repro.util.validation import reject_legacy_kwargs
 
 
 @dataclass(frozen=True)
@@ -258,7 +257,6 @@ class WeblogAnalyzer:
         *,
         workers: int | None = None,
         chunk_size: int | None = None,
-        **legacy,
     ) -> AnalysisResult:
         """Run the full pipeline over weblog rows.
 
@@ -269,12 +267,7 @@ class WeblogAnalyzer:
         sharded by ``user_id`` hash across processes (see
         :func:`repro.analyzer.parallel.analyze_parallel`) and the merged
         result is identical to the sequential one.
-
-        Only ``workers=`` / ``chunk_size=`` are accepted; legacy
-        spellings (``n_jobs``, ``chunksize``, ...) raise a TypeError
-        naming the replacement.
         """
-        reject_legacy_kwargs("WeblogAnalyzer.analyze", legacy)
         if workers is not None and workers > 1:
             from repro.analyzer.parallel import analyze_parallel
 

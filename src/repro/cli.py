@@ -20,9 +20,9 @@ Six subcommands mirror the deployment's moving parts:
   metrics table (``repro obs dump``).
 
 Parallelism/IO knobs are spelled ``--workers`` / ``--chunk-size``
-everywhere (and ``workers=`` / ``chunk_size=`` in the API; legacy
-spellings like ``n_jobs``/``chunksize`` raise a TypeError naming the
-replacement).
+everywhere (and ``workers=`` / ``chunk_size=`` in the API).  The price
+forest always trains with the histogram engine; there is no engine
+flag.
 
 Examples::
 
@@ -139,12 +139,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         return 2
     with obs.start_trace(
         "pipeline", scale=args.scale, workers=args.workers,
-        splitter=args.splitter,
     ) as trace:
         result = quickstart_pipeline(
             seed=args.seed or DEFAULT_SEED, scale=args.scale,
             workers=args.workers, chunk_size=args.chunk_size,
-            splitter=args.splitter,
         )
     dump_path = obs.save_dump(args.obs_out, trace=trace)
     print(f"observability dump written to {dump_path}", file=sys.stderr)
@@ -249,7 +247,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         result = quickstart_pipeline(
             seed=args.seed or DEFAULT_SEED, scale=args.bootstrap,
-            workers=args.workers, splitter=args.splitter,
+            workers=args.workers,
         )
         pme = result["pme"]
         package = pme.package_model()
@@ -263,7 +261,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_delay_ms=args.max_delay_ms,
         retrain_min_new_rows=args.retrain_min_new_rows,
         workers=args.workers,
-        splitter=args.splitter,
     )
     retrain = "enabled" if server.retrain_enabled else "disabled"
     print(
@@ -337,7 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "$REPRO_OBS_PATH or .repro_obs/last_run.json)")
     p_an.set_defaults(func=_cmd_analyze)
 
-    p_pipe = sub.add_parser("pipeline", help="simulate + analyze + train")
+    p_pipe = sub.add_parser(
+        "pipeline",
+        help="simulate + analyze + train the price forest (histogram "
+             "split engine)",
+    )
     p_pipe.add_argument("--scale", type=float, default=0.05)
     p_pipe.add_argument("--seed", type=int, default=None)
     p_pipe.add_argument("--model", required=True, help="model JSON(.gz) path")
@@ -348,12 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--chunk-size", type=int, default=None,
                         help="rows dispatched per analyzer task when "
                              "--workers > 1 (default 50000)")
-    p_pipe.add_argument("--splitter", choices=("exact", "hist"),
-                        default="exact",
-                        help="forest split-search engine: 'exact' scans "
-                             "every threshold; 'hist' pre-bins features "
-                             "into <=256 bins (faster at scale, "
-                             "statistically equivalent quality)")
     p_pipe.add_argument("--obs-out", default=None,
                         help="observability dump path (default "
                              "$REPRO_OBS_PATH or .repro_obs/last_run.json)")
@@ -419,11 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--workers", type=int, default=1,
                        help="forest-training processes during bootstrap "
                             "and retrain (default 1)")
-    p_srv.add_argument("--splitter", choices=("exact", "hist"),
-                       default="exact",
-                       help="forest split-search engine for bootstrap "
-                            "training and contribution retrains "
-                            "(default exact)")
     p_srv.set_defaults(func=_cmd_serve)
     return parser
 

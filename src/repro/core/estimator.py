@@ -1,27 +1,20 @@
-"""The unified estimation facade: one entry point for price estimates.
+"""The estimation facade: the one entry point for price estimates.
 
-Historically the code base grew four parallel inference entry points on
-:class:`repro.core.price_model.EncryptedPriceModel` -- ``estimate``,
-``estimate_one``, ``predict_proba`` and ``explain_one`` -- each encoding
-rows, walking the forest and applying the section-6.2 time correction
-with slightly different plumbing.  :class:`Estimator` collapses them
-into a single facade:
+:class:`Estimator` wraps a fitted
+:class:`repro.core.price_model.EncryptedPriceModel`:
 
 * :meth:`Estimator.estimate` takes a batch of feature rows and returns
-  an :class:`EstimateResult` carrying **everything the legacy methods
-  produced in one pass**: per-row CPM estimates, predicted classes, the
-  full class-probability matrix, the time-correction coefficient, and
-  the observability spans recorded while computing them.
+  an :class:`EstimateResult` carrying everything in one pass: per-row
+  CPM estimates, predicted classes, the full class-probability matrix,
+  the time-correction coefficient, and the observability spans
+  recorded while computing them.
 * :meth:`Estimator.explain` produces the user-facing "why this price?"
-  payload that used to live in ``explain_one``.
+  payload.
 
-Bit-identity contract: the legacy path computed ``binner.estimate(
-argmax(predict_proba(x))) * time_correction``; the facade computes the
-same probability matrix once and derives classes and prices from it,
-so ``EstimateResult.prices`` is bit-identical to the deprecated
-``estimate`` / ``estimate_one`` results (a tier-1 test holds both paths
-to equality).  The legacy methods survive as thin delegating shims that
-raise :class:`DeprecationWarning`.
+The price of a row is ``binner.estimate(argmax(proba)) *
+time_correction``: the probability matrix is computed once and classes
+and prices are derived from it, so batched, chunked and single-row
+estimates are bit-identical.
 
 Observability: every call runs under a local ``estimator.estimate``
 trace with ``estimator.encode`` / ``forest.inference`` /
@@ -34,13 +27,13 @@ the estimator's internal phase split without any extra wiring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.core.price_model import EncryptedPriceModel
-from repro.util.validation import reject_legacy_kwargs, require_positive
+from repro.util.validation import require_positive
 
 __all__ = ["EstimateResult", "Estimator"]
 
@@ -49,8 +42,7 @@ __all__ = ["EstimateResult", "Estimator"]
 class EstimateResult:
     """One batch estimation: prices, classes, probabilities, spans.
 
-    ``prices`` is the time-corrected CPM estimate per row (the legacy
-    ``estimate`` return value); ``classes`` the predicted price class
+    ``prices`` is the time-corrected CPM estimate per row; ``classes`` the predicted price class
     per row; ``proba`` the ``(n_rows, n_classes)`` forest probability
     matrix; ``time_correction`` the multiplicative drift coefficient
     already applied to ``prices``; ``spans`` the finished span records
@@ -67,7 +59,7 @@ class EstimateResult:
         return int(self.prices.shape[0])
 
     def price_of(self, index: int) -> float:
-        """The scalar CPM estimate for one row (legacy ``estimate_one``)."""
+        """The scalar CPM estimate for one row."""
         return float(self.prices[index])
 
     def to_dict(self) -> dict:
@@ -122,7 +114,6 @@ class Estimator:
         rows: Sequence[Mapping[str, Hashable]],
         *,
         chunk_size: int | None = None,
-        **legacy: Any,
     ) -> EstimateResult:
         """Estimate CPMs for a batch of feature rows.
 
@@ -131,7 +122,6 @@ class Estimator:
         large batches); results are bit-identical for any chunking
         because encoding and inference are row-independent.
         """
-        reject_legacy_kwargs("Estimator.estimate", legacy)
         if chunk_size is not None:
             require_positive(chunk_size, "chunk_size")
         rows = list(rows)
@@ -183,10 +173,9 @@ class Estimator:
     def explain(self, row: Mapping[str, Hashable]) -> dict:
         """The user-facing "why this price?" payload for one row.
 
-        Same shape the deprecated ``EncryptedPriceModel.explain_one``
-        returned: predicted class, representative CPM (time-corrected),
-        class probabilities, top feature importances, and the decision
-        path of the first member tree.
+        Predicted class, representative CPM (time-corrected), class
+        probabilities, top feature importances, and the decision path of
+        the first member tree.
         """
         model = self.model
         with obs.stage("estimator.explain"):

@@ -33,7 +33,6 @@ from repro.ml.model_selection import CrossValidationResult
 from repro.stats.distributions import median_ratio
 from repro.trace.simulate import MarketState
 from repro.util.rng import derive_seed
-from repro.util.validation import reject_legacy_kwargs
 
 #: The paper's final selected feature set S (section 5.1) -- the PME
 #: falls back to it when asked to skip the selection step.
@@ -155,20 +154,13 @@ class PriceModelingEngine:
         cv_folds: int = 10,
         cv_runs: int = 10,
         workers: int | None = 1,
-        splitter: str = "exact",
-        **legacy,
     ) -> EncryptedPriceModel:
         """Fit the encrypted-price classifier on campaign ground truth.
 
         ``workers`` parallelises forest training (and the CV refits)
         across a process pool; results are bit-identical to
-        ``workers=1``.  ``splitter`` picks the split-search engine
-        (``"exact"`` or the pre-binned ``"hist"`` -- see DESIGN.md §8);
-        CV inherits the same engine.  Only ``workers=`` is accepted;
-        legacy spellings (``n_jobs``, ...) raise a TypeError naming the
-        replacement.
+        ``workers=1``.
         """
-        reject_legacy_kwargs("PriceModelingEngine.train_model", legacy)
         campaign = campaign or self.state.campaign_a1
         if campaign is None:
             raise RuntimeError("run the probe campaigns before training")
@@ -180,7 +172,6 @@ class PriceModelingEngine:
             rows=len(rows),
             n_classes=n_classes,
             workers=workers or 0,
-            splitter=splitter,
         ):
             model = EncryptedPriceModel.train(
                 rows,
@@ -189,7 +180,6 @@ class PriceModelingEngine:
                 n_classes=n_classes,
                 seed=derive_seed(self.seed, "model"),
                 workers=workers,
-                splitter=splitter,
             )
             self.state.model = model
             if evaluate:
@@ -246,20 +236,13 @@ class PriceModelingEngine:
         contributed_prices: list[float],
         n_classes: int = 4,
         workers: int | None = 1,
-        splitter: str = "exact",
-        **legacy,
     ) -> EncryptedPriceModel:
         """Fold anonymous client contributions into a fresh model.
 
         Contributions extend (never replace) the latest campaign ground
         truth, so a burst of low-quality contributions cannot erase the
-        calibrated baseline.  Only ``workers=`` is accepted; legacy
-        spellings (``n_jobs``, ``retrain_workers``, ...) raise a
-        TypeError naming the replacement.
+        calibrated baseline.
         """
-        reject_legacy_kwargs(
-            "PriceModelingEngine.retrain_with_contributions", legacy
-        )
         if self.state.campaign_a1 is None:
             raise RuntimeError("no campaign ground truth to extend")
         rows = self.state.campaign_a1.feature_rows() + list(contributed_rows)
@@ -270,7 +253,6 @@ class PriceModelingEngine:
             contributed=len(contributed_rows),
             rows=len(rows),
             workers=workers or 0,
-            splitter=splitter,
         ):
             model = EncryptedPriceModel.train(
                 rows,
@@ -279,7 +261,6 @@ class PriceModelingEngine:
                 n_classes=n_classes,
                 seed=derive_seed(self.seed, "retrain"),
                 workers=workers,
-                splitter=splitter,
             )
         self.state.model = model
         return model

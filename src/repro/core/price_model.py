@@ -14,7 +14,6 @@ side with no training code.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -70,17 +69,12 @@ class EncryptedPriceModel:
         max_depth: int = 18,
         seed: int = 0,
         workers: int | None = 1,
-        splitter: str = "exact",
     ) -> "EncryptedPriceModel":
         """Fit the binner, encoder and forest on campaign ground truth.
 
         ``workers`` parallelises forest training across a process pool
         (one member tree per task); any value is bit-identical to
         ``workers=1`` -- see :class:`repro.ml.forest.RandomForestClassifier`.
-        ``splitter`` picks the split-search engine: ``"exact"`` (the
-        default, sorted-scan over every candidate threshold) or
-        ``"hist"`` (pre-binned histogram engine -- much faster on the
-        paper-scale weblog matrices, statistically equivalent quality).
         """
         if len(feature_rows) != len(prices):
             raise ValueError("feature_rows and prices lengths differ")
@@ -102,78 +96,19 @@ class EncryptedPriceModel:
             oob_score=True,
             seed=derive_seed(seed, "price-forest"),
             workers=workers,
-            splitter=splitter,
         )
         forest.fit(x, y)
         return cls(feature_names=names, encoder=encoder, binner=binner, forest=forest)
 
     # -- inference ---------------------------------------------------------
     #
-    # The batch/scalar estimation entry points below are DEPRECATED
-    # delegating shims: :class:`repro.core.estimator.Estimator` is the
-    # one estimation facade (``estimate(rows) -> EstimateResult`` with
-    # prices, classes, probabilities and per-phase spans in one pass).
-    # The shims stay bit-identical to the facade -- a tier-1 test holds
-    # both paths to equality -- but warn so callers migrate.
-
-    def _estimator(self):
-        from repro.core.estimator import Estimator
-
-        return Estimator(self)
+    # Price estimates go through :class:`repro.core.estimator.Estimator`,
+    # the one estimation API (prices, classes, probabilities and spans in
+    # one pass).
 
     def predict_class(self, rows: Sequence[Mapping[str, Hashable]]) -> np.ndarray:
         x = self.encoder.transform(list(rows))
         return self.forest.predict(x)
-
-    def predict_proba(self, rows: Sequence[Mapping[str, Hashable]]) -> np.ndarray:
-        """Deprecated: use ``Estimator(model).estimate(rows).proba``."""
-        warnings.warn(
-            "EncryptedPriceModel.predict_proba is deprecated; use "
-            "repro.core.estimator.Estimator(model).estimate(rows).proba",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._estimator().estimate(rows).proba
-
-    def estimate(self, rows: Sequence[Mapping[str, Hashable]]) -> np.ndarray:
-        """Deprecated: use ``Estimator(model).estimate(rows).prices``.
-
-        Kept as a bit-identical shim over the facade; the facade encodes
-        rows once and routes them through the forest's flattened member
-        trees in one vectorised pass, then applies ``time_correction``.
-        """
-        warnings.warn(
-            "EncryptedPriceModel.estimate is deprecated; use "
-            "repro.core.estimator.Estimator(model).estimate(rows).prices",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._estimator().estimate(rows).prices
-
-    def estimate_one(self, row: Mapping[str, Hashable]) -> float:
-        """Deprecated: use ``Estimator(model).estimate_one(row)``."""
-        warnings.warn(
-            "EncryptedPriceModel.estimate_one is deprecated; use "
-            "repro.core.estimator.Estimator(model).estimate_one(row)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._estimator().estimate_one(row)
-
-    def explain_one(self, row: Mapping[str, Hashable]) -> dict:
-        """Deprecated: use ``Estimator(model).explain(row)``.
-
-        Same payload shape (predicted class, representative CPM, class
-        probabilities, top feature importances, first-tree decision
-        path); the logic now lives on the facade.
-        """
-        warnings.warn(
-            "EncryptedPriceModel.explain_one is deprecated; use "
-            "repro.core.estimator.Estimator(model).explain(row)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._estimator().explain(row)
 
     # -- evaluation --------------------------------------------------------
 
@@ -185,13 +120,8 @@ class EncryptedPriceModel:
         n_runs: int = 10,
         seed: int = 0,
         workers: int | None = 1,
-        splitter: str | None = None,
     ) -> CrossValidationResult:
-        """The paper's 10-fold x 10-run CV protocol on the same data.
-
-        ``splitter=None`` inherits the fitted forest's engine so CV
-        scores measure the same training mode the model actually used.
-        """
+        """The paper's 10-fold x 10-run CV protocol on the same data."""
         y = self.binner.assign(list(prices))
         x = self.encoder.transform(list(feature_rows))
         forest_params = dict(
@@ -200,7 +130,6 @@ class EncryptedPriceModel:
             min_samples_leaf=self.forest.min_samples_leaf,
             seed=derive_seed(seed, "cv-forest"),
             workers=workers,
-            splitter=self.forest.splitter if splitter is None else splitter,
         )
         return cross_validate_classifier(
             lambda: RandomForestClassifier(**forest_params),

@@ -13,10 +13,11 @@ contiguous numpy arrays (``feature``/``threshold``/``left``/``right``/
 *level-synchronous* vectorised walk: one fancy-indexing step advances
 every still-active row by one level, so the Python-interpreter cost is
 ``O(depth)`` instead of ``O(rows x depth)`` (per-row recursion) or
-``O(nodes)`` (the index-partition node walk).  Probabilities are
-identical bit-for-bit to the recursive result: leaf class frequencies
-are normalised once at compile time with exactly the division the
-recursive path performs at every visit.
+``O(nodes)`` (an index-partition node walk).  It is the only inference
+path; the recursive walks live on in ``tests/ml/reference.py`` as
+oracles, and probabilities are identical to theirs bit for bit: leaf
+class frequencies are normalised once at compile time with exactly the
+division a recursive walk performs at every visit.
 
 The flat form is derived state -- it is recompiled after ``fit`` and
 after deserialisation, never serialised itself, so the JSON model
@@ -187,11 +188,11 @@ def flatten_classifier_tree(root: TreeNode, n_classes: int) -> FlatTree:
     """Compile a classifier tree; leaf rows are class probabilities.
 
     Leaf class-count vectors are normalised here, once, with the same
-    ``counts / total`` (or uniform fallback for an empty leaf) the
-    recursive traversal computes per visit -- so flat and recursive
+    ``counts / total`` (or uniform fallback for an empty leaf) a
+    recursive walk computes per visit -- so flat and recursive
     probabilities are bit-identical.  Counts from a tree fitted in a
-    smaller class space are aligned by class label into the forest's
-    ``n_classes`` columns.  All leaves of one tree share a class space,
+    smaller class space (a narrower serialised tree) are aligned by
+    class label into the forest's ``n_classes`` columns.  All leaves of one tree share a class space,
     so the whole normalisation is one stacked divide instead of a
     numpy round-trip per leaf.
     """

@@ -16,10 +16,11 @@ Scale design notes
   contiguous ``0..K-1`` and pins every member tree to the forest's
   class space (``DecisionTreeClassifier.fit(..., n_classes=K)``), so a
   bootstrap sample that misses the highest price class still yields a
-  full-width ``predict_proba``.  Trees from an *external* class space
-  (e.g. a version-1 serialised payload) are re-aligned explicitly by
-  class label -- leaf count vectors index by ``np.bincount`` label, so
-  tree column ``j`` is class label ``j`` -- never by raw column count.
+  full-width ``predict_proba``.  Trees from a narrower class space
+  (e.g. a version-1 serialised payload) are aligned once, at load:
+  :func:`repro.ml.serialize.forest_from_dict` compiles each one
+  straight into the forest's ``K`` columns.  Leaf count vectors index
+  by ``np.bincount`` label, so tree column ``j`` is class label ``j``.
 * **Parallel training.**  ``workers > 1`` fits member trees across a
   process pool.  Every tree's randomness is fully determined by
   ``derive_seed(seed, f"tree-{t}")`` (bootstrap draw and per-split
@@ -29,9 +30,11 @@ Scale design notes
   ``predict_proba``, same OOB votes, same importances.
 * **Flattened inference.**  Member trees compile to contiguous arrays
   after fit (:mod:`repro.ml.flat`); ``predict_proba`` aggregates the
-  vectorised flat traversal per tree, in tree order.  ``traversal=``
-  selects the node-walk or per-row reference paths for equivalence
-  checks and benchmarks -- all three agree exactly.
+  vectorised flat traversal per tree, in tree order.
+* **One engine per task.**  The classifier trains with the histogram
+  engine (:mod:`repro.ml.histsplit`) over one binned copy of ``x``
+  shared by every member tree; the regressor, which only serves the
+  section-5.4 regression baseline, grows exact recursive trees.
 """
 
 from __future__ import annotations
@@ -42,15 +45,11 @@ import numpy as np
 
 from repro import obs
 from repro.ml.histsplit import BinnedDataset
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _check_splitter
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.util.parallel import pool_context, resolve_workers
 from repro.util.rng import derive_seed
-from repro.util.validation import reject_legacy_kwargs
 
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
-
-#: Traversal modes accepted by ``predict_proba``/``predict``.
-_TRAVERSALS = ("flat", "nodes", "per-row")
 
 
 # -- per-tree fit routines ---------------------------------------------------
@@ -68,20 +67,17 @@ def _fit_classifier_tree(
     bootstrap: bool,
     want_oob: bool,
     tree_kwargs: dict,
-    binned: BinnedDataset | None = None,
+    binned: BinnedDataset,
 ) -> tuple[DecisionTreeClassifier, np.ndarray | None, np.ndarray | None]:
     """Fit member tree ``t``; returns (tree, oob_rows, oob_probs)."""
     n = x.shape[0]
     rng = np.random.default_rng(derive_seed(seed, f"tree-{t}"))
     indices = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
     tree = DecisionTreeClassifier(rng=rng, **tree_kwargs)
-    if binned is not None:
-        # Hist engine: the forest binned ``x`` once; trees grow over
-        # bootstrap *index subsets* of the shared codes matrix instead
-        # of materialising ``x[indices]`` copies per tree.
-        tree.fit(x, y, sample_indices=indices, n_classes=n_classes, binned=binned)
-    else:
-        tree.fit(x[indices], y[indices], n_classes=n_classes)
+    # The forest binned ``x`` once; trees grow over bootstrap *index
+    # subsets* of the shared codes matrix instead of materialising
+    # ``x[indices]`` copies per tree.
+    tree.fit(x, y, sample_indices=indices, n_classes=n_classes, binned=binned)
     oob_rows: np.ndarray | None = None
     oob_probs: np.ndarray | None = None
     if want_oob and bootstrap:
@@ -99,18 +95,12 @@ def _fit_regressor_tree(
     y: np.ndarray,
     seed: int,
     tree_kwargs: dict,
-    binned: BinnedDataset | None = None,
 ) -> DecisionTreeRegressor:
     """Fit regressor member tree ``t``."""
     n = x.shape[0]
     rng = np.random.default_rng(derive_seed(seed, f"rtree-{t}"))
     indices = rng.integers(0, n, size=n)
-    tree = DecisionTreeRegressor(rng=rng, **tree_kwargs)
-    if binned is not None:
-        tree.fit(x, y, sample_indices=indices, binned=binned)
-    else:
-        tree.fit(x[indices], y[indices])
-    return tree
+    return DecisionTreeRegressor(rng=rng, **tree_kwargs).fit(x[indices], y[indices])
 
 
 # -- pool plumbing -----------------------------------------------------------
@@ -133,11 +123,10 @@ def _fit_tree_task(t: int):
         return _fit_classifier_tree(
             t, ctx["x"], ctx["y"], ctx["n_classes"], ctx["seed"],
             ctx["bootstrap"], ctx["want_oob"], ctx["tree_kwargs"],
-            binned=ctx.get("binned"),
+            ctx["binned"],
         )
     return _fit_regressor_tree(
-        t, ctx["x"], ctx["y"], ctx["seed"], ctx["tree_kwargs"],
-        binned=ctx.get("binned"),
+        t, ctx["x"], ctx["y"], ctx["seed"], ctx["tree_kwargs"]
     )
 
 
@@ -204,10 +193,7 @@ class RandomForestClassifier:
         oob_score: bool = False,
         seed: int = 0,
         workers: int | None = 1,
-        splitter: str = "exact",
-        **legacy,
     ):
-        reject_legacy_kwargs("RandomForestClassifier", legacy)
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         self.n_estimators = int(n_estimators)
@@ -220,7 +206,6 @@ class RandomForestClassifier:
         self.oob_score = oob_score
         self.seed = int(seed)
         self.workers = workers
-        self.splitter = _check_splitter(splitter)
         self.trees_: list[DecisionTreeClassifier] = []
         self.n_classes_: int = 0
         self.n_features_: int = 0
@@ -234,7 +219,6 @@ class RandomForestClassifier:
             min_samples_split=self.min_samples_split,
             max_features=self.max_features,
             criterion=self.criterion,
-            splitter=self.splitter,
         )
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
@@ -254,13 +238,11 @@ class RandomForestClassifier:
         )
         importances = np.zeros(self.n_features_)
 
-        binned: BinnedDataset | None = None
-        if self.splitter == "hist":
-            # Quantise once per forest; the codes matrix is shared
-            # read-only with fork-pool workers (copy-on-write pages).
-            with obs.stage("forest.bin", rows=n, features=self.n_features_) as st:
-                binned = BinnedDataset.from_matrix(x)
-                st.set(total_bins=binned.total_bins)
+        # Quantise once per forest; the codes matrix is shared
+        # read-only with fork-pool workers (copy-on-write pages).
+        with obs.stage("forest.bin", rows=n, features=self.n_features_) as st:
+            binned = BinnedDataset.from_matrix(x)
+            st.set(total_bins=binned.total_bins)
 
         ctx = dict(
             kind="classifier",
@@ -287,7 +269,7 @@ class RandomForestClassifier:
                     if tree.feature_importances_ is not None:
                         importances += tree.feature_importances_
                     if oob_votes is not None and oob_rows is not None:
-                        oob_votes[oob_rows] += self._aligned_probs(tree, oob_probs)
+                        oob_votes[oob_rows] += oob_probs
 
             importances /= self.n_estimators
             total = importances.sum()
@@ -308,62 +290,24 @@ class RandomForestClassifier:
         if not self.trees_:
             raise RuntimeError("forest is not fitted")
 
-    def _aligned_probs(self, tree: DecisionTreeClassifier, probs: np.ndarray) -> np.ndarray:
-        """Align one tree's probability columns to the forest class space.
-
-        Alignment is by **class label**: tree column ``j`` corresponds
-        to class label ``tree.classes_[j]`` (``np.bincount`` ordering),
-        which is scattered into the forest's column for that label.  A
-        tree fitted in the forest's own class space passes through
-        unchanged; a narrower tree (old serialised payloads, externally
-        fitted trees) is zero-padded at its missing labels -- wherever
-        they fall, not just at the top.
-        """
-        if probs.shape[1] == self.n_classes_:
-            return probs
-        if probs.shape[1] > self.n_classes_:
-            raise ValueError(
-                f"tree has {probs.shape[1]} classes, forest has {self.n_classes_}"
-            )
-        labels = (
-            np.asarray(tree.classes_, dtype=int)
-            if tree.classes_ is not None
-            else np.arange(probs.shape[1])
-        )
-        aligned = np.zeros((probs.shape[0], self.n_classes_), dtype=float)
-        aligned[:, labels] = probs
-        return aligned
-
-    def predict_proba(self, x: np.ndarray, traversal: str = "flat") -> np.ndarray:
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Average of member-tree leaf class frequencies.
 
-        ``traversal`` selects the member-tree inference path: ``"flat"``
-        (vectorised flattened arrays, the default hot path), ``"nodes"``
-        (index-partition walk over ``TreeNode``) or ``"per-row"`` (naive
-        recursive descent).  All three return bit-identical results;
-        the alternates exist for the equivalence suite and benchmarks.
+        Every member tree is compiled in the forest's class space (at
+        fit, or at load for narrower serialised trees), so per-tree
+        outputs add column for column, in tree order.
         """
         self._check_fitted()
-        if traversal not in _TRAVERSALS:
-            raise ValueError(f"unknown traversal {traversal!r}; use {_TRAVERSALS}")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        with obs.span(
-            "forest.predict_proba", rows=x.shape[0], traversal=traversal
-        ):
+        with obs.span("forest.predict_proba", rows=x.shape[0]):
             total = np.zeros((x.shape[0], self.n_classes_), dtype=float)
             for tree in self.trees_:
-                if traversal == "flat":
-                    probs = tree.predict_proba(x)
-                elif traversal == "nodes":
-                    probs = tree._predict_proba_nodes(x)
-                else:
-                    probs = tree._predict_proba_per_row(x)
-                total += self._aligned_probs(tree, probs)
+                total += tree.predict_proba(x)
             return total / len(self.trees_)
 
-    def predict(self, x: np.ndarray, traversal: str = "flat") -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Majority (probability-averaged) class per row."""
-        return np.argmax(self.predict_proba(x, traversal=traversal), axis=1)
+        return np.argmax(self.predict_proba(x), axis=1)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Flat-tree leaf id per (row, member tree): shape (n, n_trees)."""
@@ -392,10 +336,7 @@ class RandomForestRegressor:
         max_features: int | str | None = "sqrt",
         seed: int = 0,
         workers: int | None = 1,
-        splitter: str = "exact",
-        **legacy,
     ):
-        reject_legacy_kwargs("RandomForestRegressor", legacy)
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         self.n_estimators = int(n_estimators)
@@ -404,7 +345,6 @@ class RandomForestRegressor:
         self.max_features = max_features
         self.seed = int(seed)
         self.workers = workers
-        self.splitter = _check_splitter(splitter)
         self.trees_: list[DecisionTreeRegressor] = []
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
@@ -415,11 +355,6 @@ class RandomForestRegressor:
         n = x.shape[0]
         if n == 0:
             raise ValueError("cannot fit on zero samples")
-        binned: BinnedDataset | None = None
-        if self.splitter == "hist":
-            with obs.stage("forest.bin", rows=n, features=x.shape[1]) as st:
-                binned = BinnedDataset.from_matrix(x)
-                st.set(total_bins=binned.total_bins)
         ctx = dict(
             kind="regressor",
             x=x,
@@ -429,9 +364,7 @@ class RandomForestRegressor:
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
-                splitter=self.splitter,
             ),
-            binned=binned,
         )
         workers = resolve_workers(self.workers, self.n_estimators)
         self.trees_ = list(_map_tree_fits(ctx, self.n_estimators, workers))

@@ -1,16 +1,19 @@
 """Histogram-based split finding over a pre-binned columnar dataset.
 
-The exact CART splitter re-argsorts every candidate column at every
-node -- ``O(n log n)`` per (node, feature), float comparisons, plus (in
-the seed) an ``n x n_classes`` one-hot allocation.  The paper's feature
-set S (context, device, city, time-of-day, day-of-week, slot size,
-IAB category, ADX -- section 5.1) is almost entirely categorical or
-ordinal with tiny cardinalities, which is the best possible case for
-the histogram training used by modern GBDT/RTB-CTR systems: quantise
-each feature **once** per forest into at most 256 ordinal bins, then
-find every split with integer ``bincount`` histograms over the codes.
+The price forest's only training engine.  An exhaustive CART splitter
+re-argsorts every candidate column at every node -- ``O(n log n)`` per
+(node, feature), float comparisons.  The paper's feature set S
+(context, device, city, time-of-day, day-of-week, slot size, IAB
+category, ADX -- section 5.1) is almost entirely categorical or ordinal
+with tiny cardinalities, which is the best possible case for the
+histogram training used by modern GBDT/RTB-CTR systems: quantise each
+feature **once** per forest into at most 256 ordinal bins, then find
+every split with integer ``bincount`` histograms over the codes.  On a
+column with at most 256 distinct values the bin boundaries are exactly
+the adjacent-value midpoints the exhaustive scan would try, so nothing
+is lost on feature set S.
 
-Four structural wins over the exact engine:
+Four structural choices:
 
 * **Pre-binned columnar codes.**  :class:`BinnedDataset` maps each
   column to ``uint8`` codes against a monotone threshold ladder, built
@@ -19,7 +22,7 @@ Four structural wins over the exact engine:
   matrix is never re-binned or re-pickled per tree).  Bin boundaries
   map back to real feature-space thresholds, so fitted trees are
   ordinary :class:`~repro.ml.tree.TreeNode` graphs: ``FlatTree``
-  compilation, serialisation and serving are completely unchanged.
+  compilation, serialisation and serving never see codes.
 * **Level-wise vectorised growth.**  Nodes are grown breadth-first: at
   each depth the class histograms of *every* frontier node land in one
   flattened ``np.bincount`` (histogram address of row ``i`` under node
@@ -44,9 +47,8 @@ Everything here is deterministic given the data and the tree's own
 ``rng``: the breadth-first frontier order is a pure function of the
 data, feature subsets are drawn once per frontier node in that order,
 and ties in the vectorised score surface break toward the lowest flat
-bin address (lowest feature index, then lowest bin).  ``splitter="hist"``
-training is therefore bit-identical across ``workers=1/N`` -- the same
-guarantee PR 2 established for exact mode.
+bin address (lowest feature index, then lowest bin).  Forest training
+is therefore bit-identical across ``workers=1/N``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ __all__ = [
     "MAX_BINS",
     "BinnedDataset",
     "HistClassifierGrower",
-    "HistRegressorGrower",
     "bin_thresholds",
     "column_codes",
 ]
@@ -83,7 +84,7 @@ def bin_thresholds(col: np.ndarray, max_bins: int = MAX_BINS) -> np.ndarray:
     At most ``max_bins - 1`` thresholds (so at most ``max_bins`` bins).
     Columns with ``<= max_bins`` distinct values get one bin per
     distinct value with boundaries at adjacent-value midpoints --
-    i.e. exactly the candidate thresholds the exact splitter would
+    i.e. exactly the candidate thresholds an exhaustive search would
     consider, which makes hist lossless for the low-cardinality
     feature set S.  Higher-cardinality columns are cut at equally
     spaced ranks of the (duplicate-weighted) sorted column, with a
@@ -218,38 +219,51 @@ def _chunked(items: list, size: int):
         yield items[i:i + size]
 
 
-class _LevelGrower:
-    """Shared breadth-first scaffolding for the two hist growers.
+class HistClassifierGrower:
+    """Grows one classification tree over a shared :class:`BinnedDataset`.
 
-    A *frontier entry* is ``(node, idx, hist)``: a still-splittable
-    :class:`TreeNode`, its row-index multiset into the shared code
-    matrix, and -- in full-feature growth -- its flat bin histogram
-    (``None`` under per-node feature subsampling, where each level
-    re-histograms only the sampled blocks).  Subclasses supply the
-    histogram scan and the vectorised (node, boundary) scoring; this
-    class owns the frontier loop, the per-level stable-sort row
-    partition, and the scan-smaller / derive-larger sibling
-    subtraction bookkeeping of full-feature growth.
+    Nodes grow breadth-first.  A *frontier entry* is ``(node, idx,
+    hist)``: a still-splittable :class:`TreeNode`, its row-index
+    multiset into the shared code matrix, and -- in full-feature growth
+    -- its flat ``(bin, class)`` histogram.  With feature subsampling on
+    (the Random Forest configuration) each level histograms only the
+    sampled blocks, addressed compactly as ``(node, sampled slot, class,
+    bin)``, and frontier entries carry no histogram; without it,
+    full-space histograms flow down the tree under sibling subtraction.
+    Stop conditions: zero impurity, fewer than ``min_samples_split``
+    rows, ``max_depth``; a split must leave ``min_samples_leaf`` rows
+    per side and decrease impurity by ``min_impurity_decrease``.
     """
 
-    #: Set by subclasses: True when per-node feature subsampling is on
-    #: and the subclass scores compact per-node sampled histograms
-    #: (frontier entries then carry no histogram).
-    use_sampled = False
-
-    def __init__(self, binned: BinnedDataset, params: _GrowthParams):
+    def __init__(
+        self,
+        binned: BinnedDataset,
+        y: np.ndarray,
+        n_classes: int,
+        criterion: str,
+        params: _GrowthParams,
+        importance_acc: np.ndarray,
+    ):
+        if criterion not in ("gini", "entropy"):
+            raise ValueError(f"unknown criterion {criterion!r}")
         self.binned = binned
         self.params = params
+        self.n_classes = int(n_classes)
+        self.y32 = np.ascontiguousarray(y, dtype=np.int64)
+        self.criterion = criterion
+        self.importance_acc = importance_acc
+        self._impurity = _gini if criterion == "gini" else _entropy
         self.boundary_ok = _boundary_mask(binned)
         self.offsets = binned.offsets
         self.n_bins = binned.n_bins
-        self.max_nb = int(binned.n_bins.max()) if binned.n_features else 0
+        nf = binned.n_features
+        self.max_nb = int(binned.n_bins.max()) if nf else 0
         # Concatenated per-feature bin-edge arrays + offsets, so the
         # real-space threshold of every winning (feature, boundary) pair
         # is one fancy-indexed gather instead of a per-node lookup.
         # (Per-feature edge counts are n_bins - 1, hence a separate
         # offset vector from the flat *bin* offsets.)
-        if binned.n_features:
+        if nf:
             self._flat_thresholds = np.concatenate(binned.thresholds)
             self._thr_offsets = np.concatenate(
                 ([0], np.cumsum(binned.n_bins[:-1] - 1))
@@ -257,35 +271,65 @@ class _LevelGrower:
         else:  # pragma: no cover - empty feature space
             self._flat_thresholds = np.empty(0, dtype=np.float64)
             self._thr_offsets = np.empty(0, dtype=np.int64)
-        self.chunk_nodes = 1  # subclasses size this from their score width
+        self.use_sampled = (
+            params.max_features is not None and params.max_features < nf
+        )
+        c = self.n_classes
+        if self.use_sampled:
+            width = params.max_features * self.max_nb * c
+        else:
+            width = binned.total_bins * c
+            # addr[i, f]: flat (bin, class) histogram address of row i
+            # under feature f -- computed once, reused at every level.
+            addr = binned.codes.astype(np.int64) * c
+            addr += (binned.offsets * c)[None, :]
+            addr += self.y32[:, None]
+            self.addr = addr
+        self.chunk_nodes = max(1, _CHUNK_ENTRIES // max(1, width))
 
-    # -- subclass hooks ------------------------------------------------------
+    def grow(self, idx: np.ndarray) -> TreeNode:
+        """Grow the tree over the row-index (multi)set ``idx``."""
+        # Sorted bootstrap indices keep every level's gathers monotone
+        # in memory; class counts are order-free, so the fitted tree is
+        # unchanged by the reordering.
+        idx = np.sort(np.asarray(idx, dtype=np.intp), kind="stable")
+        counts = np.bincount(self.y32[idx], minlength=self.n_classes)
+        counts = counts.astype(float)
+        root = TreeNode(value=counts, n_samples=int(idx.size),
+                        impurity=self._impurity(counts))
+        p = self.params
+        if (
+            not self.boundary_ok.any()
+            or root.impurity <= _EPS
+            or root.n_samples < p.min_samples_split
+            or (p.max_depth is not None and p.max_depth <= 0)
+        ):
+            return root
+        root_hist = None if self.use_sampled else self._scan_many([idx])[0]
+        frontier = [(root, idx, root_hist)]
+        depth = 0
+        while frontier:
+            nxt: list = []
+            for chunk in _chunked(frontier, self.chunk_nodes):
+                nxt.extend(self._split_chunk(chunk, depth))
+            frontier = nxt
+            depth += 1
+        return root
 
     def _scan_many(self, idx_list: list[np.ndarray]) -> np.ndarray:
         """Stacked full-space histograms, one flattened ``bincount``."""
-        raise NotImplementedError
-
-    def _score_chunk(self, chunk: list, sizes: np.ndarray,
-                     big: np.ndarray, node_ids: np.ndarray) -> tuple:
-        """Return ``(ok, f_best, b_best, nl_best, left_stats, right_stats)``.
-
-        ``ok`` marks nodes that split; ``f_best``/``b_best`` are the
-        winning feature and bin boundary per node;
-        ``left_stats``/``right_stats`` yield the ``(value, impurity)``
-        pair for child ``i`` of a split node.  ``big``/``node_ids`` are
-        the chunk's concatenated row indices and their node ownership
-        (the compact sampled scan histograms them directly).
-        """
-        raise NotImplementedError
-
-    # -- shared engine -------------------------------------------------------
-
-    def _splittable(self, node: TreeNode, depth: int) -> bool:
-        p = self.params
-        return (
-            node.impurity > _EPS
-            and node.n_samples >= p.min_samples_split
-            and (p.max_depth is None or depth < p.max_depth)
+        k = len(idx_list)
+        stride = self.binned.total_bins * self.n_classes
+        if k == 1:
+            flat = self.addr[idx_list[0]]
+        else:
+            nid = np.repeat(
+                np.arange(k),
+                np.fromiter((a.size for a in idx_list), np.int64, count=k),
+            )
+            flat = self.addr[np.concatenate(idx_list)] + (nid * stride)[:, None]
+        return np.bincount(flat.ravel(), minlength=k * stride).reshape(
+            k, self.binned.total_bins, self.n_classes
         )
 
     def _sampled_features(self, k: int) -> np.ndarray | None:
@@ -309,30 +353,6 @@ class _LevelGrower:
         picked = np.argpartition(keys, p.max_features - 1, axis=1)
         return np.sort(picked[:, :p.max_features], axis=1)
 
-    def _sampled_mask(self, k: int) -> np.ndarray | None:
-        """(k, total_bins) feature-subsample mask over the flat bin axis."""
-        feat = self._sampled_features(k)
-        if feat is None:
-            return None
-        flags = np.zeros((k, self.binned.n_features), dtype=bool)
-        np.put_along_axis(flags, feat, True, axis=1)
-        return np.repeat(flags, self.n_bins, axis=1)
-
-    def _grow_from(self, idx: np.ndarray, root: TreeNode) -> TreeNode:
-        """Grow breadth-first from a prepared ``root`` over ``idx``."""
-        depth = 0
-        if not self.boundary_ok.any() or not self._splittable(root, depth):
-            return root
-        root_hist = None if self.use_sampled else self._scan_many([idx])[0]
-        frontier = [(root, idx, root_hist)]
-        while frontier:
-            nxt: list = []
-            for chunk in _chunked(frontier, self.chunk_nodes):
-                nxt.extend(self._split_chunk(chunk, depth))
-            frontier = nxt
-            depth += 1
-        return root
-
     def _split_chunk(self, chunk: list, depth: int) -> list:
         """Split every node of one frontier chunk; return the next frontier."""
         k = len(chunk)
@@ -342,8 +362,8 @@ class _LevelGrower:
             else np.concatenate([e[1] for e in chunk])
         )
         node_ids = np.repeat(np.arange(k), sizes)
-        ok, f_best, b_best, nl_best, left_stats, right_stats = (
-            self._score_chunk(chunk, sizes, big, node_ids)
+        ok, f_best, b_best, nl_best, lcf, il_l, rcf, ir_l = self._score_chunk(
+            chunk, sizes, big, node_ids
         )
         if not ok.any():
             return []
@@ -387,17 +407,17 @@ class _LevelGrower:
             node, _, hist = chunk[i]
             node.feature = f_l[i]
             node.threshold = thr_l[s]
-            lv, li = left_stats(i)
-            rv, ri = right_stats(i)
+            li = il_l[i]
+            ri = ir_l[i]
             ln = cs_l[2 * s]
             rn = cs_l[2 * s + 1]
-            left = TreeNode(value=lv, n_samples=ln, impurity=li)
-            right = TreeNode(value=rv, n_samples=rn, impurity=ri)
+            left = TreeNode(value=lcf[i], n_samples=ln, impurity=li)
+            right = TreeNode(value=rcf[i], n_samples=rn, impurity=ri)
             node.left, node.right = left, right
             li_idx = rows[bounds_l[2 * s]:bounds_l[2 * s + 1]]
             ri_idx = rows[bounds_l[2 * s + 1]:bounds_l[2 * s + 2]]
-            # _splittable, inlined: the call + attribute traffic is
-            # measurable at two checks per split of a deep level.
+            # The stop conditions, inlined: the call + attribute traffic
+            # is measurable at two checks per split of a deep level.
             lgrow = depth_ok and li > _EPS and ln >= min_split
             rgrow = depth_ok and ri > _EPS and rn >= min_split
             if sampled:
@@ -437,83 +457,18 @@ class _LevelGrower:
             nxt.append((node, node_idx, parent_hist - scanned[pos]))
         return nxt
 
-
-class HistClassifierGrower(_LevelGrower):
-    """Grows one classification tree over a shared :class:`BinnedDataset`.
-
-    Stop conditions, per-node feature subsampling, leaf-size and
-    impurity-decrease gates, and importance accumulation all mirror
-    :meth:`repro.ml.tree.DecisionTreeClassifier._grow`; the split
-    *search* runs level-wise over integer class histograms.  With
-    feature subsampling on (the Random Forest configuration) each level
-    histograms only the sampled blocks, addressed compactly as
-    ``(node, sampled slot, bin, class)``; without it, full-space
-    histograms flow down the tree under sibling subtraction.
-    """
-
-    def __init__(
-        self,
-        binned: BinnedDataset,
-        y: np.ndarray,
-        n_classes: int,
-        criterion: str,
-        params: _GrowthParams,
-        importance_acc: np.ndarray,
-    ):
-        if criterion not in ("gini", "entropy"):
-            raise ValueError(f"unknown criterion {criterion!r}")
-        self.n_classes = int(n_classes)
-        super().__init__(binned, params)
-        self.y32 = np.ascontiguousarray(y, dtype=np.int64)
-        self.criterion = criterion
-        self.importance_acc = importance_acc
-        self._impurity = _gini if criterion == "gini" else _entropy
-        nf = binned.n_features
-        self.use_sampled = (
-            params.max_features is not None and params.max_features < nf
-        )
-        c = self.n_classes
-        if self.use_sampled:
-            width = params.max_features * self.max_nb * c
-        else:
-            width = binned.total_bins * c
-            # addr[i, f]: flat (bin, class) histogram address of row i
-            # under feature f -- computed once, reused at every level.
-            addr = binned.codes.astype(np.int64) * c
-            addr += (binned.offsets * c)[None, :]
-            addr += self.y32[:, None]
-            self.addr = addr
-        self.chunk_nodes = max(1, _CHUNK_ENTRIES // max(1, width))
-
-    def _scan_many(self, idx_list: list[np.ndarray]) -> np.ndarray:
-        k = len(idx_list)
-        stride = self.binned.total_bins * self.n_classes
-        if k == 1:
-            flat = self.addr[idx_list[0]]
-        else:
-            nid = np.repeat(
-                np.arange(k),
-                np.fromiter((a.size for a in idx_list), np.int64, count=k),
-            )
-            flat = self.addr[np.concatenate(idx_list)] + (nid * stride)[:, None]
-        return np.bincount(flat.ravel(), minlength=k * stride).reshape(
-            k, self.binned.total_bins, self.n_classes
-        )
-
-    def grow(self, idx: np.ndarray) -> TreeNode:
-        """Grow the tree over the row-index (multi)set ``idx``."""
-        # Sorted bootstrap indices keep every level's gathers monotone
-        # in memory; class counts are order-free, so the fitted tree is
-        # unchanged by the reordering.
-        idx = np.sort(np.asarray(idx, dtype=np.intp), kind="stable")
-        counts = np.bincount(self.y32[idx], minlength=self.n_classes)
-        counts = counts.astype(float)
-        root = TreeNode(value=counts, n_samples=int(idx.size),
-                        impurity=self._impurity(counts))
-        return self._grow_from(idx, root)
-
     def _score_chunk(self, chunk: list, sizes: np.ndarray,
                      big: np.ndarray, node_ids: np.ndarray) -> tuple:
+        """Score every (node, feature, boundary) candidate of a chunk.
+
+        Returns ``(ok, f_best, b_best, nl_best, left_counts,
+        left_impurity, right_counts, right_impurity)``: ``ok`` marks
+        nodes that split, ``f_best``/``b_best`` are the winning feature
+        and bin boundary per node, and the last four give each node's
+        child leaf values and impurities.  ``big``/``node_ids`` are the
+        chunk's concatenated row indices and their node ownership (the
+        compact sampled scan histograms them directly).
+        """
         k = len(chunk)
         c = self.n_classes
         n_node = sizes
@@ -663,127 +618,5 @@ class HistClassifierGrower(_LevelGrower):
 
         lcf = lc_best.astype(float)
         rcf = rc_best.astype(float)
-        il_l = il_best.tolist()
-        ir_l = ir_best.tolist()
-
-        def left_stats(i: int):
-            return lcf[i], il_l[i]
-
-        def right_stats(i: int):
-            return rcf[i], ir_l[i]
-
-        return ok, f_best, b_best, nl_best, left_stats, right_stats
-
-
-class HistRegressorGrower(_LevelGrower):
-    """Grows one regression tree over a shared :class:`BinnedDataset`.
-
-    Histograms carry (count, sum y, sum y^2) per bin; counts subtract
-    exactly (integers held in float64 -- exact up to 2**53) while the
-    moment channels may pick up ~1 ulp from parent-minus-sibling
-    re-association -- deterministic either way, and clamped
-    non-negative in the variance formula.
-    """
-
-    def __init__(self, binned: BinnedDataset, y: np.ndarray,
-                 params: _GrowthParams):
-        super().__init__(binned, params)
-        self.y = np.ascontiguousarray(y, dtype=float)
-        # addr[i, f]: flat bin address of row i under feature f.
-        self.addr = binned.codes.astype(np.int64) + binned.offsets[None, :]
-        self.chunk_nodes = max(
-            1, _CHUNK_ENTRIES // max(1, 3 * binned.total_bins)
-        )
-
-    def _scan_many(self, idx_list: list[np.ndarray]) -> np.ndarray:
-        k = len(idx_list)
-        tb = self.binned.total_bins
-        nf = self.binned.n_features
-        if k == 1:
-            big = idx_list[0]
-            flat = self.addr[big]
-        else:
-            nid = np.repeat(
-                np.arange(k),
-                np.fromiter((a.size for a in idx_list), np.int64, count=k),
-            )
-            big = np.concatenate(idx_list)
-            flat = self.addr[big] + (nid * tb)[:, None]
-        flat = flat.ravel()
-        yb = np.repeat(self.y[big], nf)
-        out = np.empty((k, 3, tb), dtype=float)
-        out[:, 0, :] = np.bincount(flat, minlength=k * tb).reshape(k, tb)
-        out[:, 1, :] = np.bincount(flat, weights=yb,
-                                   minlength=k * tb).reshape(k, tb)
-        out[:, 2, :] = np.bincount(flat, weights=yb * yb,
-                                   minlength=k * tb).reshape(k, tb)
-        return out
-
-    def grow(self, idx: np.ndarray) -> TreeNode:
-        """Grow the tree over the row-index (multi)set ``idx``."""
-        idx = np.sort(np.asarray(idx, dtype=np.intp), kind="stable")
-        y0 = self.y[idx]
-        root = TreeNode(value=float(y0.mean()), n_samples=int(idx.size),
-                        impurity=float(y0.var()))
-        return self._grow_from(idx, root)
-
-    def _score_chunk(self, chunk: list, sizes: np.ndarray,
-                     big: np.ndarray, node_ids: np.ndarray) -> tuple:
-        k = len(chunk)
-        hist = (
-            chunk[0][2][None] if k == 1
-            else np.stack([e[2] for e in chunk])
-        )
-        csum = np.cumsum(hist, axis=2)
-        pe = np.zeros((k, 3, self.binned.n_features), dtype=float)
-        if self.binned.n_features > 1:
-            pe[:, :, 1:] = csum[:, :, self.offsets[1:] - 1]
-        left = csum - np.repeat(pe, self.n_bins, axis=2)
-        totals = csum[:, :, self.n_bins[0] - 1]            # every row, once
-        nl, sl, s2l = left[:, 0, :], left[:, 1, :], left[:, 2, :]
-        n_node = sizes
-        nr = n_node[:, None] - nl
-        sr = totals[:, 1][:, None] - sl
-        s2r = totals[:, 2][:, None] - s2l
-
-        valid = self.boundary_ok[None, :] & (nl > 0) & (nr > 0)
-        sampled = self._sampled_mask(k)
-        if sampled is not None:
-            valid &= sampled
-
-        nlf = np.maximum(nl, 1.0)
-        nrf = np.maximum(nr, 1.0)
-        var_l = np.maximum(s2l / nlf - (sl / nlf) ** 2, 0.0)
-        var_r = np.maximum(s2r / nrf - (sr / nrf) ** 2, 0.0)
-        weighted = (nl * var_l + nr * var_r) / n_node[:, None]
-        weighted[~valid] = np.inf
-
-        best_pos = np.argmin(weighted, axis=1)
-        ar = np.arange(k)
-        best_w = weighted[ar, best_pos]
-        impurity = np.fromiter((e[0].impurity for e in chunk), float, count=k)
-        nl_best = nl[ar, best_pos].astype(np.int64)
-        nr_best = n_node - nl_best
-        p = self.params
-        ok = (
-            np.isfinite(best_w)
-            & (best_w < impurity - _EPS)
-            & (nl_best >= p.min_samples_leaf)
-            & (nr_best >= p.min_samples_leaf)
-        )
-
-        f_best = np.searchsorted(self.offsets, best_pos, side="right") - 1
-        b_best = best_pos - self.offsets[f_best]
-
-        sl_best = sl[ar, best_pos]
-        sr_best = sr[ar, best_pos]
-        vl_best = var_l[ar, best_pos]
-        vr_best = var_r[ar, best_pos]
-
-        def left_stats(i: int):
-            return float(sl_best[i] / nl_best[i]), float(vl_best[i])
-
-        def right_stats(i: int):
-            return float(sr_best[i] / nr_best[i]), float(vr_best[i])
-
-        return ok, f_best, b_best, nl_best, left_stats, right_stats
+        return (ok, f_best, b_best, nl_best,
+                lcf, il_best.tolist(), rcf, ir_best.tolist())

@@ -74,7 +74,7 @@ def _node_to_dict(node: TreeNode) -> dict[str, Any]:
     }
 
 
-def _node_from_dict(payload: dict[str, Any]) -> TreeNode:
+def _node_from_dict(payload: dict[str, Any], n_features: int) -> TreeNode:
     if payload["leaf"]:
         value = payload["value"]
         if isinstance(value, list):
@@ -82,14 +82,21 @@ def _node_from_dict(payload: dict[str, Any]) -> TreeNode:
         return TreeNode(
             value=value, n_samples=int(payload["n"]), impurity=float(payload["impurity"])
         )
+    # An out-of-range index would load fine and then misroute (negative
+    # indices wrap) or raise IndexError on the first estimate.
+    feature = int(payload["feature"])
+    if not 0 <= feature < n_features:
+        raise ValueError(
+            f"node feature {feature} out of range for {n_features} features"
+        )
     return TreeNode(
         value=np.zeros(0),
         n_samples=int(payload["n"]),
         impurity=float(payload["impurity"]),
-        feature=int(payload["feature"]),
+        feature=feature,
         threshold=float(payload["threshold"]),
-        left=_node_from_dict(payload["left"]),
-        right=_node_from_dict(payload["right"]),
+        left=_node_from_dict(payload["left"], n_features),
+        right=_node_from_dict(payload["right"], n_features),
     )
 
 
@@ -107,12 +114,17 @@ def tree_to_dict(tree: DecisionTreeClassifier) -> dict[str, Any]:
     }
 
 
-def tree_from_dict(payload: dict[str, Any]) -> DecisionTreeClassifier:
+def tree_from_dict(
+    payload: dict[str, Any], n_classes: int | None = None
+) -> DecisionTreeClassifier:
     """Rebuild a classifier tree from :func:`tree_to_dict` output.
 
     The flattened inference arrays are recompiled on load (they are
     derived state and never serialised), so a deserialised tree scores
-    at full speed immediately.
+    at full speed immediately.  ``n_classes`` compiles them into a
+    wider class space than the tree's own (its forest's).  A node whose
+    ``feature`` is outside ``0..n_features-1`` is rejected with
+    :class:`ValueError`.
     """
     if payload.get("kind") != "decision_tree_classifier":
         raise ValueError(f"not a serialised tree: kind={payload.get('kind')!r}")
@@ -121,8 +133,8 @@ def tree_from_dict(payload: dict[str, Any]) -> DecisionTreeClassifier:
     tree.n_classes_ = int(payload["n_classes"])
     tree.n_features_ = int(payload["n_features"])
     tree.classes_ = np.arange(tree.n_classes_)
-    tree.root_ = _node_from_dict(payload["root"])
-    tree.compile_flat()
+    tree.root_ = _node_from_dict(payload["root"], tree.n_features_)
+    tree.compile_flat(n_classes)
     return tree
 
 
@@ -153,7 +165,10 @@ def forest_from_dict(payload: dict[str, Any]) -> RandomForestClassifier:
     Version-2 payloads restore the constructor hyperparameters and the
     fitted state (``feature_importances_``, ``oob_score_``); version-1
     payloads (which carried neither) load with default hyperparameters,
-    matching their historical behaviour.
+    matching their historical behaviour.  Every member tree is compiled
+    straight into the forest's class space, so a narrower tree (a
+    version-1 tree whose bootstrap missed the top labels) scores with
+    zero probability at the labels it never saw.
     """
     if payload.get("kind") != "random_forest_classifier":
         raise ValueError(f"not a serialised forest: kind={payload.get('kind')!r}")
@@ -168,7 +183,15 @@ def forest_from_dict(payload: dict[str, Any]) -> RandomForestClassifier:
         forest = RandomForestClassifier(n_estimators=max(1, len(payload["trees"])))
     forest.n_classes_ = int(payload["n_classes"])
     forest.n_features_ = int(payload["n_features"])
-    forest.trees_ = [tree_from_dict(t) for t in payload["trees"]]
+    for t in payload["trees"]:
+        if int(t["n_features"]) != forest.n_features_:
+            raise ValueError(
+                f"tree has {t['n_features']} features, "
+                f"forest has {forest.n_features_}"
+            )
+    forest.trees_ = [
+        tree_from_dict(t, forest.n_classes_) for t in payload["trees"]
+    ]
     importances = payload.get("feature_importances")
     if importances is not None:
         forest.feature_importances_ = np.asarray(importances, dtype=float)

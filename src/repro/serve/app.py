@@ -16,8 +16,9 @@ POST      /contribute   anonymous price-record ingestion
                         (:class:`repro.core.contributions.ContributionServer`);
                         enough releasable rows triggers a retrain + hot reload
 GET       /healthz      liveness + current model version
-GET       /metrics      counters, batch histogram, latency percentiles,
-                        contribution stats, model version/age
+GET       /metrics      model version/age, contribution and retrain state,
+                        and the ``serve.*`` registry series (requests,
+                        batch flushes, latency histograms) under ``obs``
 ========  ============  ====================================================
 
 Hot-reload discipline: a retrain runs ``retrain_with_contributions``
@@ -38,10 +39,8 @@ from typing import Awaitable, Callable
 
 from repro.core.contributions import ContributionError, ContributionServer
 from repro.core.pme import PriceModelingEngine
-from repro.ml.tree import _check_splitter
 from repro.serve.batching import MicroBatcher
 from repro.util.parallel import resolve_workers
-from repro.util.validation import reject_legacy_kwargs
 from repro.serve.http import (
     MAX_BODY_BYTES,
     MAX_HEADER_BYTES,
@@ -108,11 +107,8 @@ class PmeServer:
         max_delay_ms: float = 2.0,
         retrain_min_new_rows: int = 50,
         workers: int | None = 1,
-        splitter: str = "exact",
         max_body_bytes: int = MAX_BODY_BYTES,
-        **legacy,
     ):
-        reject_legacy_kwargs("PmeServer", legacy)
         if package is None:
             if pme is None or pme.state.model is None:
                 raise ValueError(
@@ -127,7 +123,6 @@ class PmeServer:
         # Validate the retrain knobs eagerly -- a bad value should fail
         # at construction, not mid-retrain inside the executor job.
         self.workers = None if workers is None else resolve_workers(workers)
-        self.splitter = _check_splitter(splitter)
         self.max_body_bytes = int(max_body_bytes)
         self._batcher = MicroBatcher(
             self._predict_batch,
@@ -369,23 +364,26 @@ class PmeServer:
 
     async def _handle_metrics(self, request: Request) -> _Response:
         snapshot = self.store.current
-        payload = self.metrics.snapshot()
-        payload["model"] = {
-            "version": snapshot.version,
-            "etag": snapshot.etag,
-            "age_seconds": snapshot.age_seconds,
-            "swaps": self.store.swap_count,
-        }
-        payload["contributions"] = self.contributions.stats
-        payload["retrain"] = {
-            "enabled": self.retrain_enabled,
-            "in_progress": self.retrain_in_progress,
-            "min_new_rows": self.retrain_min_new_rows,
-            "rows_at_last_retrain": self._retrained_at_rows,
-        }
-        payload["obs"] = {
-            "metrics": self.metrics.obs_snapshot(),
-            "last_estimate_trace": self._batcher.last_trace,
+        payload = {
+            "model": {
+                "version": snapshot.version,
+                "etag": snapshot.etag,
+                "age_seconds": snapshot.age_seconds,
+                "swaps": self.store.swap_count,
+            },
+            "contributions": self.contributions.stats,
+            "retrain": {
+                "enabled": self.retrain_enabled,
+                "in_progress": self.retrain_in_progress,
+                "min_new_rows": self.retrain_min_new_rows,
+                "rows_at_last_retrain": self._retrained_at_rows,
+            },
+            # Request, response, estimate and retrain counts live here,
+            # as ``serve.*`` registry series.
+            "obs": {
+                "metrics": self.metrics.obs_snapshot(),
+                "last_estimate_trace": self._batcher.last_trace,
+            },
         }
         return _Response.json(200, payload)
 
@@ -410,12 +408,9 @@ class PmeServer:
             pme = self.pme
             assert pme is not None
             workers = self.workers
-            splitter = self.splitter
 
             def job():
-                pme.retrain_with_contributions(
-                    rows, prices, workers=workers, splitter=splitter
-                )
+                pme.retrain_with_contributions(rows, prices, workers=workers)
                 return build_snapshot(pme.package_model(), version=next_version)
 
             snapshot = await asyncio.get_running_loop().run_in_executor(

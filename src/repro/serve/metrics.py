@@ -1,9 +1,6 @@
 """Serving metrics, rebuilt on the :mod:`repro.obs` registry.
 
-Everything that used to be bespoke per-server bookkeeping (plain
-``collections.Counter`` dicts, a sorted ring buffer for latency
-percentiles) is now a per-server :class:`repro.obs.metrics.
-MetricsRegistry`:
+Each server owns a :class:`repro.obs.metrics.MetricsRegistry`:
 
 * request / response / flush counts are labelled :class:`~repro.obs.
   metrics.Counter` series (``serve.requests{route=/estimate}``), so the
@@ -14,10 +11,9 @@ MetricsRegistry`:
   constant memory, bounded-relative-error percentiles, no ring to sort
   per ``/metrics`` poll.
 
-The public ``snapshot()`` keeps the exact JSON shape the ``/metrics``
-endpoint has always served (tests pin it); the raw registry dump is
-additionally exposed as the endpoint's ``obs`` section, which is the
-same payload shape ``repro obs dump`` renders.
+The raw registry dump is the ``/metrics`` endpoint's ``obs.metrics``
+section -- the same payload shape ``repro obs dump`` renders -- and the
+only place these counts are served.
 """
 
 from __future__ import annotations
@@ -92,43 +88,6 @@ class ServeMetrics:
         self._model_not_modified.inc()
 
     # -- export -------------------------------------------------------------
-
-    def batch_histogram(self) -> dict[str, int]:
-        """Exact ``{batch size: flush count}``, keys as decimal strings."""
-        sizes = self._flushes.labeled("size")
-        return {
-            size: int(n)
-            for size, n in sorted(sizes.items(), key=lambda kv: int(kv[0]))
-        }
-
-    def mean_batch_size(self) -> float:
-        histogram = self.batch_histogram()
-        flushes = sum(histogram.values())
-        if not flushes:
-            return 0.0
-        return sum(int(s) * n for s, n in histogram.items()) / flushes
-
-    def snapshot(self) -> dict:
-        """The ``/metrics`` payload core (app adds model/contrib fields)."""
-        return {
-            "uptime_seconds": time.time() - self.started_at,
-            "requests": {
-                route: int(n) for route, n in self._requests.labeled("route").items()
-            },
-            "responses": {
-                cls: int(n) for cls, n in self._responses.labeled("status").items()
-            },
-            "estimates": {
-                "total": int(self._estimates.total()),
-                "errors": int(self._estimate_errors.total()),
-                "batch_histogram": self.batch_histogram(),
-                "mean_batch_size": self.mean_batch_size(),
-                "latency_seconds": self._latency.percentiles(),
-                "latency_samples": int(self._latency.count),
-            },
-            "retrains": int(self._retrains.total()),
-            "model_not_modified": int(self._model_not_modified.total()),
-        }
 
     def obs_snapshot(self) -> dict:
         """The raw registry dump (the ``/metrics`` ``obs`` section)."""

@@ -2,48 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
-
-#: The one blessed spelling for each parallelism/IO knob, and every
-#: legacy alias rejected in its favour.  One table so the error message
-#: is identical no matter which layer (analyzer, forest, PME, CLI,
-#: estimator) the stale kwarg reaches.
-LEGACY_KWARG_ALIASES: dict[str, str] = {
-    "n_jobs": "workers",
-    "n_workers": "workers",
-    "num_workers": "workers",
-    "processes": "workers",
-    "max_workers": "workers",
-    "retrain_workers": "workers",
-    "chunksize": "chunk_size",
-    "chunk": "chunk_size",
-    "batch_rows": "chunk_size",
-}
-
-
-def reject_legacy_kwargs(owner: str, kwargs: Mapping[str, Any]) -> None:
-    """Fail fast on old parallelism/IO kwarg spellings.
-
-    Every layer takes ``workers=`` and ``chunk_size=`` -- exactly those
-    names.  Anything in ``kwargs`` is unrecognised; if it's a known
-    legacy alias (``n_jobs``, ``chunksize``, ...), the TypeError names
-    the current spelling so the fix is copy-pasteable.
-    """
-    for name in kwargs:
-        canonical = LEGACY_KWARG_ALIASES.get(name)
-        if canonical is not None:
-            raise TypeError(
-                f"{owner} does not accept {name!r}; "
-                f"use the {canonical!r} keyword instead"
-            )
-    if kwargs:
-        unexpected = sorted(kwargs)
-        raise TypeError(
-            f"{owner} got unexpected keyword argument(s): "
-            f"{', '.join(map(repr, unexpected))}"
-        )
 
 
 def require(condition: bool, message: str) -> None:

@@ -1,12 +1,10 @@
-"""Tests for the unified Estimator facade (and the legacy shims).
+"""Tests for the Estimator facade, the one estimation API.
 
 The central contract is bit-identity: the facade must produce exactly
-the arrays the four deprecated ``EncryptedPriceModel`` entry points
-produced, for any chunking, with the time correction applied.  The
-legacy entry points must keep working -- but warn.
+the arrays of the raw model composition --
+``binner.estimate(argmax(forest.predict_proba(encoder.transform(rows))))
+* time_correction`` -- for any chunking and for single rows.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -43,33 +41,34 @@ def rows(campaign):
     return campaign.feature_rows()[:64]
 
 
-def _legacy(model, method, *args):
-    """Call a deprecated entry point with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return getattr(model, method)(*args)
+def _raw_proba(model, rows):
+    """The forest pass, composed by hand from the model's parts."""
+    return model.forest.predict_proba(model.encoder.transform(list(rows)))
+
+
+def _raw_prices(model, rows):
+    classes = np.argmax(_raw_proba(model, rows), axis=1)
+    return model.binner.estimate(classes) * model.time_correction
 
 
 @pytest.mark.tier1
 class TestBitIdentity:
-    """Facade outputs == legacy outputs, bit for bit."""
+    """Facade outputs == the raw model composition, bit for bit."""
 
     def test_estimate_matches_legacy_batch(self, model, rows):
         facade = Estimator(model).estimate(rows)
-        legacy = _legacy(model, "estimate", rows)
-        assert np.array_equal(facade.prices, legacy)
+        assert np.array_equal(facade.prices, _raw_prices(model, rows))
 
     def test_estimate_one_matches_legacy_scalar(self, model, rows):
         estimator = Estimator(model)
         for row in rows[:8]:
-            assert estimator.estimate_one(row) == _legacy(
-                model, "estimate_one", row
+            assert estimator.estimate_one(row) == float(
+                _raw_prices(model, [row])[0]
             )
 
     def test_proba_matches_legacy_predict_proba(self, model, rows):
         facade = Estimator(model).estimate(rows)
-        legacy = _legacy(model, "predict_proba", rows)
-        assert np.array_equal(facade.proba, legacy)
+        assert np.array_equal(facade.proba, _raw_proba(model, rows))
 
     def test_classes_are_argmax_of_proba(self, model, rows):
         result = Estimator(model).estimate(rows)
@@ -84,9 +83,12 @@ class TestBitIdentity:
             assert np.array_equal(whole.proba, chunked.proba)
 
     def test_explain_matches_legacy_explain_one(self, model, rows):
-        facade = Estimator(model).explain(rows[0])
-        legacy = _legacy(model, "explain_one", rows[0])
-        assert facade == legacy
+        """``explain`` reports the same numbers the estimate path does."""
+        explanation = Estimator(model).explain(rows[0])
+        result = Estimator(model).estimate(rows[:1])
+        assert explanation["predicted_class"] == int(result.classes[0])
+        assert explanation["estimated_cpm"] == result.price_of(0)
+        assert explanation["class_probabilities"] == result.proba[0].tolist()
 
     def test_time_correction_is_applied(self, model, rows):
         result = Estimator(model).estimate(rows)
@@ -150,42 +152,19 @@ class TestFacadeApi:
             Estimator(model).estimate(rows, chunk_size=0)
 
     def test_legacy_kwargs_rejected_with_guidance(self, model, rows):
-        with pytest.raises(TypeError, match="chunk_size"):
+        with pytest.raises(TypeError, match="chunksize"):
             Estimator(model).estimate(rows, chunksize=10)
 
 
-class TestDeprecatedShims:
-    """The old entry points warn but still deliver correct results."""
-
-    def test_estimate_warns(self, model, rows):
-        with pytest.warns(DeprecationWarning, match="Estimator"):
-            out = model.estimate(rows[:4])
-        assert out.shape == (4,)
-
-    def test_estimate_one_warns(self, model, rows):
-        with pytest.warns(DeprecationWarning, match="estimate_one"):
-            value = model.estimate_one(rows[0])
-        assert value > 0
-
-    def test_predict_proba_warns(self, model, rows):
-        with pytest.warns(DeprecationWarning, match="predict_proba"):
-            proba = model.predict_proba(rows[:4])
-        assert proba.shape[0] == 4
-
-    def test_explain_one_warns(self, model, rows):
-        with pytest.warns(DeprecationWarning, match="explain_one"):
-            explanation = model.explain_one(rows[0])
-        assert "estimated_cpm" in explanation
-
-
 class TestLegacyKwargRejection:
-    """Normalized parallelism kwargs: old spellings fail loudly, naming
-    the replacement, across every layer that grew ``workers=``."""
+    """Old parallelism kwarg spellings fail loudly: every layer that
+    grew ``workers=`` / ``chunk_size=`` takes exactly those names, and
+    Python's own TypeError names the stale keyword."""
 
     def test_forest_rejects_n_jobs(self):
         from repro.ml.forest import RandomForestClassifier
 
-        with pytest.raises(TypeError, match="'workers'"):
+        with pytest.raises(TypeError, match="n_jobs"):
             RandomForestClassifier(n_jobs=4)
 
     def test_analyze_rejects_n_jobs(self, model):
@@ -193,26 +172,26 @@ class TestLegacyKwargRejection:
         from repro.analyzer.pipeline import WeblogAnalyzer
 
         analyzer = WeblogAnalyzer(PublisherDirectory({}))
-        with pytest.raises(TypeError, match="'workers'"):
+        with pytest.raises(TypeError, match="n_jobs"):
             analyzer.analyze([], n_jobs=2)
 
     def test_analyze_parallel_rejects_chunksize(self):
         from repro.analyzer.interests import PublisherDirectory
         from repro.analyzer.parallel import analyze_parallel
 
-        with pytest.raises(TypeError, match="'chunk_size'"):
+        with pytest.raises(TypeError, match="chunksize"):
             analyze_parallel([], PublisherDirectory({}), chunksize=100)
 
     def test_pme_train_rejects_num_workers(self):
         from repro.core.pme import PriceModelingEngine
 
-        with pytest.raises(TypeError, match="'workers'"):
+        with pytest.raises(TypeError, match="num_workers"):
             PriceModelingEngine().train_model(num_workers=2)
 
     def test_pme_retrain_rejects_retrain_workers(self):
         from repro.core.pme import PriceModelingEngine
 
-        with pytest.raises(TypeError, match="'workers'"):
+        with pytest.raises(TypeError, match="retrain_workers"):
             PriceModelingEngine().retrain_with_contributions(
                 [], [], retrain_workers=2
             )
@@ -220,7 +199,7 @@ class TestLegacyKwargRejection:
     def test_server_rejects_retrain_workers(self, model):
         from repro.serve.app import PmeServer
 
-        with pytest.raises(TypeError, match="'workers'"):
+        with pytest.raises(TypeError, match="retrain_workers"):
             PmeServer(package=model.to_package(), retrain_workers=2)
 
     def test_unknown_kwarg_still_a_type_error(self, model, rows):

@@ -1,128 +1,18 @@
-"""Regression gate for the allocation-free exact splitter.
+"""The exhaustive single-column split search kept as a test oracle.
 
-The seed implementation built an ``n x n_classes`` float one-hot matrix
-and cumsum'd it per candidate column; the rewrite accumulates integer
-class counts with one segment ``bincount`` (rows between candidate
-boundaries share a segment id; ``bincount(seg * n_classes + y)`` plus a
-short per-segment cumulative sum replaces every per-class pass) and
-skips the label gather entirely on constant columns.  The contract is
-**bit-identity**: integer counts convert to exactly the float64 values
-the one-hot cumsum produced, and every downstream operation runs in the
-same order -- so thresholds, scores, and therefore whole fitted forests
-must match the legacy path bit for bit.  (The rewrite sorts with the
-default introsort rather than the reference's stable mergesort; equal
-feature values share a segment, so the counts are invariant to tie
-order and identity still holds.)  The legacy implementation is kept as
-``best_classification_split_onehot`` purely as the reference here (and
-as the training benchmark's baseline).
+``tests/ml/reference.py`` holds the exact CART search the histogram
+engine replaced in ``src/``; the hist parity gates
+(``tests/ml/test_histsplit.py``) and the training benchmark compare
+against forests grown with it, so its own edge cases stay pinned here.
 """
 
 import numpy as np
-import pytest
 
-from repro.ml.forest import RandomForestClassifier
-from repro.ml.serialize import forest_to_dict
-from repro.ml.tree import _SplitSearch
-
-
-def _random_column(rng, n, kind):
-    if kind == 0:
-        return rng.integers(0, 6, n).astype(float)     # heavy ties
-    if kind == 1:
-        return rng.normal(size=n)                      # distinct floats
-    if kind == 2:
-        return np.repeat(rng.normal(), n)              # constant
-    return np.round(rng.normal(size=n), 1)             # clustered ties
+from tests.ml.reference import best_classification_split
 
 
 class TestExactSplitterBitIdentity:
-    @pytest.mark.tier1
-    def test_split_matches_onehot_reference_exactly(self):
-        """(threshold, score) equality -- not approx -- over random
-        datasets spanning ties, constants, both criteria and several
-        class counts."""
-        rng = np.random.default_rng(123)
-        checked = 0
-        for trial in range(400):
-            n = int(rng.integers(2, 300))
-            n_classes = int(rng.integers(2, 7))
-            col = _random_column(rng, n, trial % 4)
-            y = rng.integers(0, n_classes, n)
-            criterion = "gini" if trial % 2 == 0 else "entropy"
-            new = _SplitSearch.best_classification_split(
-                col, y, n_classes, criterion
-            )
-            ref = _SplitSearch.best_classification_split_onehot(
-                col, y, n_classes, criterion
-            )
-            assert new == ref  # None == None, or exact float equality
-            if new is not None:
-                checked += 1
-        assert checked > 200  # the sweep actually exercised real splits
-
-    @pytest.mark.tier1
-    def test_multi_matches_per_column_exactly(self):
-        """The batched multi-column splitter (the growth loop's entry)
-        must equal per-column ``best_classification_split`` calls --
-        tuple equality, not approx -- including constant columns and
-        single-column blocks."""
-        rng = np.random.default_rng(99)
-        for trial in range(120):
-            n = int(rng.integers(2, 250))
-            k = int(rng.integers(1, 6))
-            n_classes = int(rng.integers(2, 7))
-            cols = np.column_stack(
-                [_random_column(rng, n, (trial + j) % 4) for j in range(k)]
-            )
-            y = rng.integers(0, n_classes, n)
-            criterion = "gini" if trial % 2 == 0 else "entropy"
-            batched = _SplitSearch.best_classification_split_multi(
-                cols, y, n_classes, criterion
-            )
-            for j in range(k):
-                single = _SplitSearch.best_classification_split(
-                    cols[:, j], y, n_classes, criterion
-                )
-                assert batched[j] == single
-
-    @pytest.mark.tier1
-    def test_whole_forest_bit_identical_to_onehot_engine(self, monkeypatch):
-        """Swap the legacy one-hot engine back in (a per-column loop
-        over the seed splitter, patched at the batched entry the growth
-        loop calls) and refit: the serialised forests must be identical
-        byte for byte."""
-        rng = np.random.default_rng(7)
-        x = np.column_stack([
-            rng.integers(0, 10, 500),
-            rng.normal(size=500),
-            rng.integers(0, 3, 500),
-        ]).astype(float)
-        y = np.clip(
-            (x[:, 0] > 4).astype(int) + (x[:, 2] > 0).astype(int), 0, 2
-        )
-        kw = dict(n_estimators=5, seed=13, max_depth=8, criterion="entropy")
-        fast = RandomForestClassifier(**kw).fit(x, y)
-
-        def onehot_multi(cols, yy, n_classes, criterion, nan_free=False):
-            return [
-                _SplitSearch.best_classification_split_onehot(
-                    cols[:, j], yy, n_classes, criterion
-                )
-                for j in range(cols.shape[1])
-            ]
-
-        monkeypatch.setattr(
-            _SplitSearch,
-            "best_classification_split_multi",
-            staticmethod(onehot_multi),
-        )
-        legacy = RandomForestClassifier(**kw).fit(x, y)
-        assert forest_to_dict(fast) == forest_to_dict(legacy)
-        assert np.array_equal(fast.predict_proba(x), legacy.predict_proba(x))
-
     def test_constant_column_short_circuits(self):
         y = np.array([0, 1, 0, 1])
         col = np.full(4, 2.5)
-        assert (
-            _SplitSearch.best_classification_split(col, y, 2, "gini") is None
-        )
+        assert best_classification_split(col, y, 2, "gini") is None

@@ -14,6 +14,12 @@ from repro.ml.tree import (
     DecisionTreeRegressor,
     TreeNode,
 )
+from tests.ml.reference import (
+    leaf_for,
+    proba_nodes,
+    proba_per_row,
+    regressor_predict_nodes,
+)
 
 
 def _data(n=300, seed=0):
@@ -62,11 +68,11 @@ class TestCompilation:
         tree = DecisionTreeClassifier(max_depth=10).fit(x, y)
         fresh = np.random.default_rng(11).normal(size=(200, 4))
         assert np.array_equal(
-            tree.flat_.predict_value(fresh), tree._predict_proba_nodes(fresh)
+            tree.flat_.predict_value(fresh), proba_nodes(tree, fresh)
         )
         assert np.array_equal(
             tree.flat_.predict_value(fresh[:30]),
-            tree._predict_proba_per_row(fresh[:30]),
+            proba_per_row(tree, fresh[:30]),
         )
 
     def test_wider_class_space_alignment(self):
@@ -100,7 +106,7 @@ class TestApply:
         tree = DecisionTreeClassifier(max_depth=9).fit(x, y)
         flat = tree.flat_
         for i in range(0, 200, 17):
-            leaf_node = tree._leaf_for(x[i])
+            leaf_node = leaf_for(tree.root_, x[i])
             flat_leaf = flat.apply(x[i : i + 1])[0]
             counts = leaf_node.value
             assert np.array_equal(flat.value[flat_leaf], counts / counts.sum())
@@ -110,7 +116,7 @@ class TestApply:
         tree = DecisionTreeClassifier(max_depth=5).fit(x, y)
         probe = np.full((1, x.shape[1]), np.nan)
         assert np.array_equal(
-            tree.predict_proba(probe), tree._predict_proba_nodes(probe)
+            tree.predict_proba(probe), proba_nodes(tree, probe)
         )
 
 
@@ -121,7 +127,9 @@ class TestRegressorFlat:
         y = x[:, 0] ** 2 + x[:, 1]
         tree = DecisionTreeRegressor(max_depth=8).fit(x, y)
         fresh = rng.uniform(-2, 2, size=(150, 3))
-        assert np.array_equal(tree.predict(fresh), tree._predict_nodes(fresh))
+        assert np.array_equal(
+            tree.predict(fresh), regressor_predict_nodes(tree, fresh)
+        )
 
     def test_flatten_regressor_single_output(self):
         root = TreeNode(value=1.5, n_samples=3, impurity=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.ml.serialize import forest_from_dict, forest_to_dict
 from repro.util.rng import derive_seed
 
 
@@ -158,30 +159,36 @@ class TestClassSpaceAlignment:
         assert 0.0 <= forest.oob_score_ <= 1.0
 
     def test_alignment_is_by_label_not_column_count(self):
-        # A member tree living in a *gappy* class space (e.g. loaded
-        # from an external payload whose labels were {0, 2}) must have
-        # its columns scattered to the labels it knows, not packed into
-        # the first columns.
+        # A member tree living in a *gappy* class space (a serialised
+        # payload whose labels were {0, 2}: bincount-indexed counts
+        # [a, 0, b]) must score its probabilities at the labels it
+        # knows, zero elsewhere -- alignment happens once, at load.
         x, y = _data(200)
         forest = RandomForestClassifier(n_estimators=4, seed=2).fit(x, y)
-        tree = forest.trees_[0]
-        narrow = np.array([[0.25, 0.75]])
-        tree_like = type("T", (), {"classes_": np.array([0, 2])})()
-        aligned = forest._aligned_probs(tree_like, narrow)
-        assert aligned.shape == (1, forest.n_classes_)
-        assert aligned[0, 0] == 0.25
-        assert aligned[0, 1] == 0.0      # label 1 unknown to the tree
-        assert aligned[0, 2] == 0.75     # column 1 is label 2, not label 1
-        # Sanity: a full-width tree passes through untouched.
-        full = tree.predict_proba(x[:3])
-        assert forest._aligned_probs(tree, full) is full
+        payload = forest_to_dict(forest)
+        payload["n_classes"] = 4
+        narrow = payload["trees"][0]
+        narrow["n_classes"] = 3
+        narrow["root"] = {
+            "leaf": True, "value": [1.0, 0.0, 3.0], "n": 4, "impurity": 0.375,
+        }
+        loaded = forest_from_dict(payload)
+        probs = loaded.trees_[0].predict_proba(x[:1])
+        assert probs.tolist() == [[0.25, 0.0, 0.75, 0.0]]
+        # Full-width member trees load unchanged, padded to the wider
+        # forest space with a zero column.
+        full = loaded.trees_[1].predict_proba(x[:3])
+        assert np.array_equal(full[:, :3], forest.trees_[1].predict_proba(x[:3]))
+        assert np.all(full[:, 3] == 0.0)
+        assert loaded.predict_proba(x[:3]).shape == (3, 4)
 
     def test_wider_tree_than_forest_rejected(self):
         x, y = _data(200)
         forest = RandomForestClassifier(n_estimators=2, seed=0).fit(x, y)
-        too_wide = np.ones((1, forest.n_classes_ + 1))
+        payload = forest_to_dict(forest)
+        payload["n_classes"] = forest.n_classes_ - 1
         with pytest.raises(ValueError):
-            forest._aligned_probs(forest.trees_[0], too_wide)
+            forest_from_dict(payload)
 
 
 class TestLabelValidation:

@@ -8,8 +8,9 @@ changes a single bit of output:
   importances (every tree's randomness derives from
   ``derive_seed(seed, "tree-t")`` and per-tree results merge in tree
   order);
-* flattened batch traversal must agree **exactly** with the
-  index-partition node walk and the naive per-row recursion.
+* flattened batch traversal -- the only inference path -- must agree
+  **exactly** with the index-partition node walk and the naive per-row
+  recursion kept as oracles in ``tests/ml/reference.py``.
 
 The sequential-vs-parallel identity is a ``tier1`` gate, like the
 analyzer's: a merge-order or seeding regression must fail fast.
@@ -21,6 +22,7 @@ import pytest
 from repro.core.price_model import EncryptedPriceModel
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.serialize import dumps, forest_to_dict
+from tests.ml.reference import forest_proba, proba_nodes, proba_per_row
 
 
 def _data(n=300, n_features=6, n_classes=4, seed=0):
@@ -117,14 +119,13 @@ class TestTraversalEquivalence:
         ).fit(x, y)
         rng = np.random.default_rng(99)
         fresh = rng.normal(size=(200, x.shape[1]))
-        flat = forest.predict_proba(fresh, traversal="flat")
-        nodes = forest.predict_proba(fresh, traversal="nodes")
-        per_row = forest.predict_proba(fresh[:40], traversal="per-row")
+        flat = forest.predict_proba(fresh)
+        nodes = forest_proba(forest, fresh, proba_nodes)
+        per_row = forest_proba(forest, fresh[:40], proba_per_row)
         assert np.array_equal(flat, nodes)
         assert np.array_equal(flat[:40], per_row)
         assert np.array_equal(
-            forest.predict(fresh, traversal="flat"),
-            forest.predict(fresh, traversal="nodes"),
+            forest.predict(fresh), np.argmax(nodes, axis=1)
         )
 
     def test_rows_exactly_on_thresholds(self):
@@ -142,19 +143,23 @@ class TestTraversalEquivalence:
                 probes.append(row)
         probes = np.asarray(probes)
         assert np.array_equal(
-            forest.predict_proba(probes, traversal="flat"),
-            forest.predict_proba(probes, traversal="nodes"),
+            forest.predict_proba(probes),
+            forest_proba(forest, probes, proba_nodes),
         )
         assert np.array_equal(
-            forest.predict_proba(probes, traversal="flat"),
-            forest.predict_proba(probes, traversal="per-row"),
+            forest.predict_proba(probes),
+            forest_proba(forest, probes, proba_per_row),
         )
 
     def test_unknown_traversal_rejected(self):
+        """The flat walk is the only inference path: no knob selects
+        another one."""
         x, y = _data(100)
         forest = RandomForestClassifier(n_estimators=2, seed=0).fit(x, y)
-        with pytest.raises(ValueError, match="traversal"):
-            forest.predict_proba(x, traversal="warp")
+        with pytest.raises(TypeError, match="traversal"):
+            forest.predict_proba(x, traversal="nodes")
+        with pytest.raises(TypeError, match="traversal"):
+            forest.predict(x, traversal="per-row")
 
     def test_apply_reaches_leaves(self):
         x, y = _data(200)

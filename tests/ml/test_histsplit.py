@@ -1,6 +1,7 @@
 """The histogram training engine: quantiser properties + parity gates.
 
-Three layers of protection for ``splitter="hist"``:
+Hist is the classifier's only training engine.  Four layers of
+protection:
 
 * **Quantiser properties** (hypothesis): the bin ladder is strictly
   increasing with at most 255 thresholds; codes fit ``uint8``; and the
@@ -8,12 +9,17 @@ Three layers of protection for ``splitter="hist"``:
   -- holds for *every* boundary, which is what lets a split chosen in
   code space replay as a real-valued threshold with the identical row
   partition (serialisation and serving never see codes).
+* **The lossless premise** (tier1): every column the price model fits
+  on the campaign-A1 fixture has at most ``MAX_BINS`` distinct values,
+  so its bin boundaries are exactly the candidate thresholds of an
+  exhaustive search.
 * **tier1 gates**: hist training is bit-identical across
-  ``workers=1/N`` (the PR 2 contract extended to the new engine), and
-  a hist forest's accuracy tracks the exact forest's on separable data
-  (the engines need not match split-for-split; quality must).
-* **End-to-end**: the price model trains, packages and round-trips
-  with ``splitter="hist"``; CV inherits the engine.
+  ``workers=1/N``, and a hist forest's accuracy tracks a forest grown
+  by the exact reference grower (``tests/ml/reference.py``) on
+  separable data (the engines need not match split-for-split; quality
+  must).
+* **End-to-end**: the price model trains, packages and round-trips;
+  CV trains the same engine.
 """
 
 import numpy as np
@@ -21,6 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.campaigns import run_campaign_a1
+from repro.core.pme import PAPER_FEATURE_SET
 from repro.core.price_model import EncryptedPriceModel
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.histsplit import (
@@ -31,6 +39,9 @@ from repro.ml.histsplit import (
 )
 from repro.ml.serialize import forest_to_dict
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.trace.simulate import build_market, small_config
+from repro.util.rng import RngRegistry
+from tests.ml.reference import reference_forest
 
 # -- strategies --------------------------------------------------------------
 
@@ -179,7 +190,7 @@ class TestHistForestGates:
     def test_hist_parallel_bit_identical_to_sequential(self):
         """workers=N must not change a single bit of a hist forest."""
         x, y = _classification_data(600)
-        kw = dict(n_estimators=6, seed=9, oob_score=True, splitter="hist")
+        kw = dict(n_estimators=6, seed=9, oob_score=True)
         seq = RandomForestClassifier(workers=1, **kw).fit(x, y)
         par = RandomForestClassifier(workers=2, **kw).fit(x, y)
         assert forest_to_dict(seq) == forest_to_dict(par)
@@ -191,68 +202,42 @@ class TestHistForestGates:
 
     @pytest.mark.tier1
     def test_hist_quality_tracks_exact(self):
-        """Hist need not reproduce exact's trees, but accuracy must
-        stay within noise of the exact engine on separable data."""
+        """Hist need not reproduce the exact grower's trees, but accuracy
+        must stay within noise of it on separable data."""
         x, y = _classification_data(2000)
         train, test = np.arange(1500), np.arange(1500, 2000)
         kw = dict(n_estimators=20, seed=4, max_depth=12)
-        exact = RandomForestClassifier(splitter="exact", **kw).fit(
-            x[train], y[train]
-        )
-        hist = RandomForestClassifier(splitter="hist", **kw).fit(
-            x[train], y[train]
-        )
+        exact = reference_forest(x[train], y[train], **kw)
+        hist = RandomForestClassifier(**kw).fit(x[train], y[train])
         acc_exact = float(np.mean(exact.predict(x[test]) == y[test]))
         acc_hist = float(np.mean(hist.predict(x[test]) == y[test]))
         assert acc_hist >= acc_exact - 0.02
 
     def test_hist_deterministic_across_fits(self):
         x, y = _classification_data(400, seed=3)
-        kw = dict(n_estimators=4, seed=11, splitter="hist")
+        kw = dict(n_estimators=4, seed=11)
         a = RandomForestClassifier(**kw).fit(x, y)
         b = RandomForestClassifier(**kw).fit(x, y)
         assert forest_to_dict(a) == forest_to_dict(b)
 
-    def test_hist_regressor_parity(self):
-        rng = np.random.default_rng(5)
-        n = 1500
-        x = np.column_stack([
-            rng.integers(0, 24, n), rng.normal(size=n)
-        ]).astype(float)
-        y = 0.4 * x[:, 0] + 2.0 * x[:, 1] + rng.normal(scale=0.1, size=n)
-        kw = dict(n_estimators=10, seed=2, max_depth=10)
-        exact = RandomForestRegressor(splitter="exact", **kw).fit(x, y)
-        hist = RandomForestRegressor(splitter="hist", **kw).fit(x, y)
-        r2 = lambda p: 1 - np.sum((y - p) ** 2) / np.sum((y - y.mean()) ** 2)
-        assert r2(hist.predict(x)) >= r2(exact.predict(x)) - 0.02
-
-    def test_hist_regressor_workers_bit_identical(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(300, 3))
-        y = x @ np.array([1.0, -2.0, 0.5]) + rng.normal(scale=0.05, size=300)
-        kw = dict(n_estimators=5, seed=8, splitter="hist")
-        seq = RandomForestRegressor(workers=1, **kw).fit(x, y)
-        par = RandomForestRegressor(workers=2, **kw).fit(x, y)
-        assert np.array_equal(seq.predict(x), par.predict(x))
-
     def test_single_tree_self_bins_when_binned_missing(self):
         x, y = _classification_data(300, seed=7)
-        tree = DecisionTreeClassifier(splitter="hist", max_depth=6)
+        tree = DecisionTreeClassifier(max_depth=6)
         tree.fit(x, y)
         assert float(np.mean(tree.predict(x) == y)) > 0.9
-        rtree = DecisionTreeRegressor(splitter="hist", max_depth=6)
-        rtree.fit(x, x[:, 0])
-        assert np.corrcoef(rtree.predict(x), x[:, 0])[0, 1] > 0.9
 
     def test_unknown_splitter_rejected_everywhere(self):
-        with pytest.raises(ValueError, match="splitter"):
-            RandomForestClassifier(splitter="histo")
-        with pytest.raises(ValueError, match="splitter"):
-            RandomForestRegressor(splitter="fast")
-        with pytest.raises(ValueError, match="splitter"):
-            DecisionTreeClassifier(splitter="")
-        with pytest.raises(ValueError, match="splitter"):
-            DecisionTreeRegressor(splitter="Exact")
+        """One engine per task: no layer takes an engine knob."""
+        with pytest.raises(TypeError, match="splitter"):
+            RandomForestClassifier(splitter="hist")
+        with pytest.raises(TypeError, match="splitter"):
+            RandomForestRegressor(splitter="exact")
+        with pytest.raises(TypeError, match="splitter"):
+            DecisionTreeClassifier(splitter="hist")
+        with pytest.raises(TypeError, match="splitter"):
+            DecisionTreeRegressor(splitter="exact")
+        with pytest.raises(TypeError, match="splitter"):
+            EncryptedPriceModel.train([], [], splitter="hist")
 
 
 class TestPriceModelHist:
@@ -272,12 +257,9 @@ class TestPriceModelHist:
 
     def test_train_package_roundtrip_with_hist(self):
         rows, prices = self._rows()
-        model = EncryptedPriceModel.train(
-            rows, prices, n_estimators=8, splitter="hist", seed=3
-        )
-        assert model.forest.splitter == "hist"
-        # Serialised packages are engine-agnostic: the loaded forest is
-        # plain TreeNode/FlatTree structure and estimates identically.
+        model = EncryptedPriceModel.train(rows, prices, n_estimators=8, seed=3)
+        # Packages never see bin codes: the loaded forest is plain
+        # TreeNode/FlatTree structure and estimates identically.
         loaded = EncryptedPriceModel.from_package(model.to_package())
         a = model.predict_class(rows[:20])
         b = loaded.predict_class(rows[:20])
@@ -285,8 +267,37 @@ class TestPriceModelHist:
 
     def test_cross_validate_inherits_hist(self):
         rows, prices = self._rows(150)
-        model = EncryptedPriceModel.train(
-            rows, prices, n_estimators=6, splitter="hist", seed=5
-        )
+        model = EncryptedPriceModel.train(rows, prices, n_estimators=6, seed=5)
         result = model.cross_validate(rows, prices, n_folds=3, n_runs=1)
         assert 0.0 <= result.accuracy <= 1.0
+
+
+@pytest.mark.tier1
+class TestLosslessPremise:
+    """Why hist can be the only classifier engine at no cost.
+
+    The price model fits feature set S (``publisher`` excluded), whose
+    columns are ordinally encoded categories with few distinct values.
+    At most ``MAX_BINS`` of them means one bin per value, with bin
+    boundaries at exactly the adjacent-value midpoints an exhaustive
+    threshold search tries -- the two engines consider the same splits.
+    """
+
+    def test_feature_set_s_columns_bin_losslessly(self):
+        market = build_market(small_config(), RngRegistry(small_config().seed))
+        campaign = run_campaign_a1(market, seed=17, auctions_per_setup=20)
+        rows = campaign.feature_rows()
+        names = [n for n in PAPER_FEATURE_SET if n != "publisher"]
+        model = EncryptedPriceModel.train(
+            rows, list(campaign.prices()), feature_names=names,
+            n_estimators=1, seed=0,
+        )
+        assert "publisher" not in model.feature_names
+        x = model.encoder.transform(rows)
+        assert x.shape == (len(rows), len(names))
+        binned = BinnedDataset.from_matrix(x)
+        for j, name in enumerate(model.feature_names):
+            uniques = np.unique(x[:, j])
+            assert uniques.size <= MAX_BINS, name
+            midpoints = (uniques[:-1] + uniques[1:]) / 2.0
+            assert np.array_equal(binned.thresholds[j], midpoints), name

@@ -231,3 +231,46 @@ class TestSerializationV2:
         payload["params"]["workers"] = 8  # runtime knob must not sneak in
         with pytest.raises(ValueError, match="unknown forest params"):
             forest_from_dict(payload)
+
+
+class TestPayloadFeatureValidation:
+    """A node ``feature`` outside ``0..n_features-1`` is rejected at load.
+
+    Unchecked, ``-1`` loads and silently routes on the last column
+    (numpy wraps negative indices), and ``>= n_features`` loads, then
+    raises ``IndexError`` on the first estimate -- a 500 on
+    ``/estimate`` and a crash in the YourAdValue client.
+    """
+
+    def _forest_payload(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(120, 3))
+        y = (x[:, 0] > 0).astype(int)
+        forest = RandomForestClassifier(n_estimators=2, max_depth=4, seed=3).fit(x, y)
+        payload = forest_to_dict(forest)
+        assert payload["trees"][0]["root"]["leaf"] is False
+        return payload
+
+    @pytest.mark.parametrize("feature", [-1, 3, 99])
+    def test_out_of_range_feature_rejected(self, feature):
+        payload = self._forest_payload()
+        payload["trees"][0]["root"]["feature"] = feature
+        with pytest.raises(ValueError, match="out of range"):
+            tree_from_dict(payload["trees"][0])
+        with pytest.raises(ValueError, match="out of range"):
+            forest_from_dict(payload)
+
+    def test_deep_out_of_range_feature_rejected(self):
+        payload = self._forest_payload()
+        node = payload["trees"][1]["root"]
+        while not node["right"]["leaf"]:
+            node = node["right"]
+        node["feature"] = -1
+        with pytest.raises(ValueError, match="out of range"):
+            forest_from_dict(payload)
+
+    def test_tree_wider_than_forest_rejected(self):
+        payload = self._forest_payload()
+        payload["trees"][0]["n_features"] = 4
+        with pytest.raises(ValueError, match="features"):
+            forest_from_dict(payload)

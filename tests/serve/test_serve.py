@@ -45,6 +45,19 @@ def synthetic_rows(n: int, seed: int = 5) -> tuple[list[dict], list[float]]:
     return rows, prices
 
 
+def registry_of(metrics: dict) -> dict:
+    """The ``serve.*`` registry series of a ``GET /metrics`` payload."""
+    return metrics["obs"]["metrics"]
+
+
+def flush_sizes(metrics: dict) -> dict[int, int]:
+    """``{batch size: flush count}`` from the labelled flush counter."""
+    series = registry_of(metrics)["serve.batch.flushes"].get("series", {})
+    return {
+        int(key.split("=", 1)[1]): int(n) for key, n in series.items()
+    }
+
+
 @pytest.fixture(scope="module")
 def package():
     """A small packaged model carrying a non-trivial time correction."""
@@ -183,9 +196,9 @@ class TestEstimation:
             metrics = (
                 await request_once("127.0.0.1", server.port, "GET", "/metrics")
             ).json()
-            histogram = metrics["estimates"]["batch_histogram"]
-            assert sum(int(k) * v for k, v in histogram.items()) == 80
-            assert max(int(k) for k in histogram) > 1, (
+            histogram = flush_sizes(metrics)
+            assert sum(k * v for k, v in histogram.items()) == 80
+            assert max(histogram) > 1, (
                 "concurrent requests never coalesced into a batch"
             )
             return True
@@ -234,7 +247,7 @@ class TestEstimation:
             metrics = (
                 await request_once("127.0.0.1", server.port, "GET", "/metrics")
             ).json()
-            assert set(metrics["estimates"]["batch_histogram"]) == {"1"}
+            assert set(flush_sizes(metrics)) == {1}
             return True
 
         assert serve(scenario, package=package, max_batch=1)
@@ -345,12 +358,16 @@ class TestObservability:
             metrics = (
                 await request_once("127.0.0.1", server.port, "GET", "/metrics")
             ).json()
-            assert metrics["requests"]["/estimate"] == 1
-            assert metrics["responses"]["2xx"] >= 2
-            est = metrics["estimates"]
-            assert est["total"] == 1
-            assert est["latency_samples"] == 1
-            assert set(est["latency_seconds"]) == {"p50", "p90", "p99"}
+            # One shape: request/estimate counts live only as registry
+            # series under ``obs``.
+            assert set(metrics) == {"model", "contributions", "retrain", "obs"}
+            reg = registry_of(metrics)
+            assert reg["serve.requests"]["series"]["route=/estimate"] == 1
+            assert reg["serve.responses"]["series"]["status=2xx"] >= 2
+            assert reg["serve.estimates"]["total"] == 1
+            latency = reg["serve.estimate.latency_seconds"]
+            assert latency["count"] == 1
+            assert {"p50", "p90", "p99"} <= set(latency)
             assert metrics["model"]["version"] == 1
             assert metrics["model"]["age_seconds"] >= 0
             assert metrics["contributions"]["accepted"] == 0
@@ -434,16 +451,7 @@ class TestObservability:
             assert reg["serve.requests"]["series"]["route=/estimate"] == 80
             assert reg["serve.estimates"]["total"] == 80
             assert reg["serve.estimate.latency_seconds"]["count"] == 80
-            assert metrics["estimates"]["total"] == 80
-            assert (
-                sum(
-                    int(size) * int(n)
-                    for size, n in metrics["estimates"][
-                        "batch_histogram"
-                    ].items()
-                )
-                == 80
-            )
+            assert sum(k * v for k, v in flush_sizes(metrics).items()) == 80
             return True
 
         assert serve(scenario, package=package)
@@ -571,7 +579,7 @@ class TestHotReload:
                 raise AssertionError(f"model never reached v{version}")
 
             metrics = await wait_for_version(2)
-            assert metrics["retrains"] >= 1
+            assert registry_of(metrics)["serve.retrains"]["total"] >= 1
             assert metrics["model"]["swaps"] >= 1
 
             stop.set()
@@ -635,7 +643,7 @@ class TestHotReload:
                 await request_once("127.0.0.1", server.port, "GET", "/metrics")
             ).json()
             assert metrics["contributions"]["releasable"] >= 20
-            assert metrics["retrains"] == 0
+            assert registry_of(metrics)["serve.retrains"]["total"] == 0
             assert metrics["model"]["version"] == 1
             return True
 
