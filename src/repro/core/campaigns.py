@@ -16,26 +16,31 @@ competing market's price, which is exactly the quantity being sampled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Hashable
 
 import numpy as np
 
+from repro import obs
 from repro.rtb.adslots import CAMPAIGN_PHONE_SIZES, CAMPAIGN_TABLET_SIZES
 from repro.rtb.bidding import Dsp, FeatureBidEngine
 from repro.rtb.campaign import CAMPAIGN_DAYPARTS, Campaign, TargetingSpec
 from repro.rtb.entities import ENCRYPTING_ADXS
 from repro.rtb.openrtb import BidRequest
+from repro.trace.browsing import HOURLY_WEIGHTS
 from repro.trace.geography import CAMPAIGN_CITIES
 from repro.trace.simulate import MarketState
-from repro.util.rng import RngRegistry, derive_seed
+from repro.util.rng import RngRegistry, WeightedDraw, derive_seed
 from repro.util.timeutil import (
     CAMPAIGN_A1_PERIOD,
     CAMPAIGN_A2_PERIOD,
+    SECONDS_PER_DAY,
     Period,
     day_of_week,
     epoch,
     hour_of,
+    is_weekend,
 )
 
 PROBE_DSP_NAME = "ProbeDSP"
@@ -213,35 +218,41 @@ class CampaignResult:
         }
 
 
+@functools.lru_cache(maxsize=16)
+def _setup_day_offsets(period: Period, weekend: bool) -> tuple[int, ...]:
+    """Day offsets inside the period of the requested day type."""
+    n_days = max(1, int(period.days))
+    offsets = tuple(
+        d
+        for d in range(n_days)
+        if is_weekend(period.start + d * SECONDS_PER_DAY) == weekend
+    )
+    # A period too short for the requested day type falls back to all days.
+    return offsets or tuple(range(n_days))
+
+
+@functools.lru_cache(maxsize=8)
+def _daypart_hour_draw(daypart: str) -> tuple[list[int], WeightedDraw]:
+    """The daypart's hours and their draw, weighted by browsing intensity."""
+    if daypart == "12am-9am":
+        hours = list(range(0, 9))
+    elif daypart == "9am-6pm":
+        hours = list(range(9, 18))
+    else:
+        hours = list(range(18, 24))
+    weights = np.array([HOURLY_WEIGHTS[h] for h in hours])
+    return hours, WeightedDraw(weights / weights.sum())
+
+
 def _sample_setup_timestamp(
     setup: ProbeSetup, period: Period, rng: np.random.Generator
 ) -> float:
     """A timestamp inside the period matching the setup's daypart and
     day type, hour-weighted by the browsing diurnal profile."""
-    from repro.trace.browsing import HOURLY_WEIGHTS
-    from repro.util.timeutil import SECONDS_PER_DAY, is_weekend
-
-    n_days = max(1, int(period.days))
-    day_offsets = [
-        d
-        for d in range(n_days)
-        if (
-            is_weekend(period.start + d * SECONDS_PER_DAY)
-            == (setup.day_type == "weekend")
-        )
-    ]
-    if not day_offsets:  # period too short for the requested day type
-        day_offsets = list(range(n_days))
+    day_offsets = _setup_day_offsets(period, setup.day_type == "weekend")
     day = day_offsets[int(rng.integers(0, len(day_offsets)))]
-
-    if setup.daypart == "12am-9am":
-        hours = list(range(0, 9))
-    elif setup.daypart == "9am-6pm":
-        hours = list(range(9, 18))
-    else:
-        hours = list(range(18, 24))
-    weights = np.array([HOURLY_WEIGHTS[h] for h in hours])
-    hour = hours[int(rng.choice(len(hours), p=weights / weights.sum()))]
+    hours, draw_hour = _daypart_hour_draw(setup.daypart)
+    hour = hours[draw_hour(rng)]
     ts = (
         period.start
         + day * SECONDS_PER_DAY
@@ -346,37 +357,43 @@ def run_probe_campaign(
 
     chooser = PublisherChooser(market.universe)
     dsps = market.dsps + [probe]
-    auction_seq = 0
-    for setup in setups:
-        exchange = market.exchanges[setup.adx]
-        for k in range(auctions_per_setup):
-            user = _audience_member(setup, k, rng)
-            ts = _sample_setup_timestamp(setup, period, rng)
-            is_app = setup.context == "app"
-            publisher = chooser.choose(rng, user, is_app)
-            auction_seq += 1
-            auction_id = f"{name}-{auction_seq:08d}"
-            request = BidRequest(
-                auction_id=auction_id,
-                timestamp=ts,
-                imp=Impression(
-                    impression_id=f"{auction_id}-i0",
-                    slot_size=AdSlotSize.parse(setup.slot_size),
-                ),
-                publisher=publisher.domain,
-                publisher_iab=publisher.iab_category,
-                device=Device(
-                    os=user.device.os,
-                    device_type=user.device.device_type,
-                    user_agent=user.device.user_agent(is_app),
-                    ip=user.ip,
-                ),
-                geo=Geo(country="ES", city=user.city.name),
-                user=UserInfo(exchange_uid=synced_uid(setup.adx, user.user_id)),
-                is_app=is_app,
-                adx=setup.adx,
-            )
-            exchange.run_auction(request, dsps, market.policy)
+    sold = 0
+    with obs.span("pme.campaign_auctions", campaign=name) as auctions_span:
+        auction_seq = 0
+        for setup in setups:
+            exchange = market.exchanges[setup.adx]
+            for k in range(auctions_per_setup):
+                user = _audience_member(setup, k, rng)
+                ts = _sample_setup_timestamp(setup, period, rng)
+                is_app = setup.context == "app"
+                publisher = chooser.choose(rng, user, is_app)
+                auction_seq += 1
+                auction_id = f"{name}-{auction_seq:08d}"
+                request = BidRequest(
+                    auction_id=auction_id,
+                    timestamp=ts,
+                    imp=Impression(
+                        impression_id=f"{auction_id}-i0",
+                        slot_size=AdSlotSize.parse(setup.slot_size),
+                    ),
+                    publisher=publisher.domain,
+                    publisher_iab=publisher.iab_category,
+                    device=Device(
+                        os=user.device.os,
+                        device_type=user.device.device_type,
+                        user_agent=user.device.user_agent(is_app),
+                        ip=user.ip,
+                    ),
+                    geo=Geo(country="ES", city=user.city.name),
+                    user=UserInfo(exchange_uid=synced_uid(setup.adx, user.user_id)),
+                    is_app=is_app,
+                    adx=setup.adx,
+                )
+                if exchange.run_auction(request, dsps, market.policy) is not None:
+                    sold += 1
+        auctions_span.set(
+            auctions=auction_seq, sold=sold, impressions=len(probe.reports)
+        )
 
     campaign_to_setup = {f"{name}-{s.setup_id}": s.setup_id for s in setups}
     impressions = [

@@ -75,16 +75,6 @@ class Counter:
         with self._lock:
             return {_key_str(k): v for k, v in sorted(self._values.items())}
 
-    def labeled(self, label: str) -> dict[str, float]:
-        """The series keyed by one label's values (``{route: count}``)."""
-        out: dict[str, float] = {}
-        with self._lock:
-            for key, v in self._values.items():
-                for k, val in key:
-                    if k == label:
-                        out[val] = out.get(val, 0.0) + v
-        return out
-
     def to_dict(self) -> dict:
         payload: dict[str, Any] = {"type": self.kind, "total": self.total()}
         series = self.series()

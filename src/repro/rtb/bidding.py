@@ -55,9 +55,11 @@ class FeatureBidEngine:
         if self.noise_sigma < 0:
             raise ValueError(f"negative noise_sigma {self.noise_sigma}")
         if self.aggressiveness <= 0:
-            raise ValueError(f"aggressiveness must be positive")
+            raise ValueError(
+                f"aggressiveness must be positive, got {self.aggressiveness}"
+            )
         if not 0.0 <= self.participation <= 1.0:
-            raise ValueError(f"participation must be in [0,1]")
+            raise ValueError(f"participation must be in [0,1], got {self.participation}")
 
     def price_bid(self, request: BidRequest, campaign: Campaign,
                   rng: np.random.Generator) -> float | None:
@@ -134,12 +136,76 @@ class RetargetingEngine:
         return min(value * noise * self.boost, campaign.max_bid_cpm)
 
 
+class CampaignIndex:
+    """Book-order candidate campaigns for a request, by its single-valued
+    attributes: ADX, city, slot size and publisher IAB.
+
+    For each of those attributes a posting map sends a value to the
+    bitmask of campaigns (bit ``i`` = book position ``i``) whose
+    targeting allows it, an unconstrained (``None``) campaign allowing
+    every value.  A request's candidates are the AND of its four masks,
+    visited in ascending bit order, i.e. in book order.  The index only
+    narrows the scan: a campaign it drops fails ``TargetingSpec.matches``
+    on one of these four fields, so never bids and never draws a random
+    number; every candidate still goes through ``Campaign.eligible_for``
+    for its budget and the rest of its targeting.
+
+    The index reflects each campaign's targeting when it was built.
+    """
+
+    __slots__ = ("_book", "_adx", "_city", "_slot", "_iab")
+
+    def __init__(self, campaigns: list[Campaign]):
+        self._book = tuple(campaigns)
+        self._adx = self._postings(campaigns, "adxs")
+        self._city = self._postings(campaigns, "cities")
+        self._slot = self._postings(campaigns, "slot_sizes")
+        self._iab = self._postings(campaigns, "iab_categories")
+
+    @staticmethod
+    def _postings(
+        campaigns: list[Campaign], field_name: str
+    ) -> tuple[dict[str, int], int]:
+        """(value -> mask of campaigns allowing it, mask of wildcards)."""
+        wildcard = 0
+        postings: dict[str, int] = {}
+        for position, campaign in enumerate(campaigns):
+            allowed = getattr(campaign.targeting, field_name)
+            if allowed is None:
+                wildcard |= 1 << position
+            else:
+                for value in allowed:
+                    postings[value] = postings.get(value, 0) | 1 << position
+        return {value: mask | wildcard for value, mask in postings.items()}, wildcard
+
+    def candidates(self, request: BidRequest) -> list[Campaign]:
+        """Campaigns whose indexed targeting admits the request, in book order."""
+        adx, adx_any = self._adx
+        city, city_any = self._city
+        slot, slot_any = self._slot
+        iab, iab_any = self._iab
+        mask = (
+            adx.get(request.adx, adx_any)
+            & city.get(request.geo.city, city_any)
+            & slot.get(request.imp.slot_size.label, slot_any)
+            & iab.get(request.publisher_iab, iab_any)
+        )
+        book = self._book
+        out = []
+        while mask:
+            lowest = mask & -mask
+            out.append(book[lowest.bit_length() - 1])
+            mask ^= lowest
+        return out
+
+
 class Dsp:
     """A demand-side platform: a bidder holding campaigns and an engine.
 
     The DSP receives bid requests from exchanges, finds eligible
     campaigns, prices a bid for the best one and responds.  Wins are
     reported back via :meth:`notify_win` so budgets stay accounted.
+    Campaign ids are unique within a DSP's book.
     """
 
     def __init__(
@@ -154,17 +220,34 @@ class Dsp:
         self.name = name
         self.engine = engine
         self.rng = rng
-        self.campaigns: list[Campaign] = list(campaigns or [])
+        self._book: list[Campaign] = []
+        self._by_id: dict[str, Campaign] = {}
+        self._index: CampaignIndex | None = None
         self.wins = 0
         self.total_spend_usd = 0.0
+        for campaign in campaigns or ():
+            self.add_campaign(campaign)
+
+    @property
+    def campaigns(self) -> tuple[Campaign, ...]:
+        """The campaign book, in the order campaigns were added."""
+        return tuple(self._book)
 
     def add_campaign(self, campaign: Campaign) -> None:
-        self.campaigns.append(campaign)
+        if campaign.campaign_id in self._by_id:
+            raise ValueError(
+                f"DSP {self.name} already has a campaign {campaign.campaign_id!r}"
+            )
+        self._book.append(campaign)
+        self._by_id[campaign.campaign_id] = campaign
+        self._index = None
 
     def respond(self, request: BidRequest) -> BidResponse:
         """Answer a bid request with at most one bid (the best campaign)."""
+        if self._index is None:
+            self._index = CampaignIndex(self._book)
         best_bid: Bid | None = None
-        for campaign in self.campaigns:
+        for campaign in self._index.candidates(request):
             if not campaign.eligible_for(request):
                 continue
             price = self.engine.price_bid(request, campaign, self.rng)
@@ -193,10 +276,9 @@ class Dsp:
         but recording DSPs (probe campaigns) log it as the per-impression
         performance report advertisers receive.
         """
-        for campaign in self.campaigns:
-            if campaign.campaign_id == campaign_id:
-                campaign.record_win(charge_price_cpm)
-                self.wins += 1
-                self.total_spend_usd += charge_price_cpm / 1000.0
-                return
-        raise KeyError(f"DSP {self.name} has no campaign {campaign_id!r}")
+        campaign = self._by_id.get(campaign_id)
+        if campaign is None:
+            raise KeyError(f"DSP {self.name} has no campaign {campaign_id!r}")
+        campaign.record_win(charge_price_cpm)
+        self.wins += 1
+        self.total_spend_usd += charge_price_cpm / 1000.0

@@ -15,10 +15,12 @@ price-parameter macros, and the 28-byte shape of encrypted blobs.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Mapping
-from urllib.parse import parse_qsl, quote, urlencode, urlparse
+from urllib.parse import parse_qsl, quote, urlparse
 
 from repro.rtb.pricecrypto import looks_like_encrypted_price
 
@@ -52,6 +54,13 @@ class NUrlFormat:
 
     def base_url(self) -> str:
         return f"https://{self.host}{self.path}"
+
+    @functools.cached_property
+    def url_prefix(self) -> str:
+        """The static head of every nURL: base URL, static parameters and
+        the price parameter's key, ready for the price value."""
+        static = "".join(f"{_quote(k)}={_quote(v)}&" for k, v in self.static_params)
+        return f"{self.base_url()}?{static}{_quote(self.price_param)}="
 
 
 #: Format registry for the simulated exchanges.  The three exemplars of
@@ -201,43 +210,57 @@ class WinNotification:
         return self.encrypted_price is not None
 
 
+#: Exactly the characters ``quote(..., safe="")`` leaves unescaped.
+_UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*")
+
+
+def _quote(value: str) -> str:
+    """``quote(value, safe="")``, returning plain values untouched."""
+    if _UNRESERVED.fullmatch(value):
+        return value
+    return quote(value, safe="")
+
+
 def build_nurl(notification: WinNotification) -> str:
-    """Render a win notification into its exchange's URL format."""
+    """Render a win notification into its exchange's URL format.
+
+    The query is byte-identical to ``urlencode(params, quote_via=quote)``
+    over the parameters in order; the exchange's static head is encoded
+    once (:attr:`NUrlFormat.url_prefix`) and only the dynamic values are
+    quoted here.  Prices rendered with ``:.4f`` never need escaping.
+    """
     fmt = FORMATS.get(notification.adx)
     if fmt is None:
         raise ValueError(f"unknown exchange {notification.adx!r}")
 
-    params: list[tuple[str, str]] = list(fmt.static_params)
-    if notification.is_encrypted:
-        assert notification.encrypted_price is not None
-        params.append((fmt.price_param, notification.encrypted_price))
+    n = notification
+    if n.encrypted_price is not None:
+        price = _quote(n.encrypted_price)
     else:
-        assert notification.charge_price_cpm is not None
-        params.append((fmt.price_param, f"{notification.charge_price_cpm:.4f}"))
-
-    params.append(("imp_id", notification.impression_id))
-    params.append(("auction_id", notification.auction_id))
-    params.append(("bidder_name", notification.dsp))
-    if notification.ad_domain:
-        params.append(("ad_domain", notification.ad_domain))
-    if notification.publisher:
-        params.append(("pub_name", notification.publisher))
-    if notification.country:
-        params.append(("country", notification.country))
-    if notification.campaign_id:
-        params.append(("cmp_id", notification.campaign_id))
-    params.append(("currency", notification.currency))
-    if fmt.include_bid_price and notification.bid_price_cpm is not None:
-        params.append(("bid_price", f"{notification.bid_price_cpm:.4f}"))
-    if fmt.include_size and notification.slot_size:
-        width, height = notification.slot_size.split("x")
-        params.append(("width", width))
-        params.append(("height", height))
-    elif notification.slot_size:
-        params.append(("size", notification.slot_size))
-
-    query = urlencode(params, quote_via=quote)
-    return f"{fmt.base_url()}?{query}"
+        price = f"{n.charge_price_cpm:.4f}"
+    parts = [
+        fmt.url_prefix, price,
+        "&imp_id=", _quote(n.impression_id),
+        "&auction_id=", _quote(n.auction_id),
+        "&bidder_name=", _quote(n.dsp),
+    ]
+    if n.ad_domain:
+        parts += ("&ad_domain=", _quote(n.ad_domain))
+    if n.publisher:
+        parts += ("&pub_name=", _quote(n.publisher))
+    if n.country:
+        parts += ("&country=", _quote(n.country))
+    if n.campaign_id:
+        parts += ("&cmp_id=", _quote(n.campaign_id))
+    parts += ("&currency=", _quote(n.currency))
+    if fmt.include_bid_price and n.bid_price_cpm is not None:
+        parts += ("&bid_price=", f"{n.bid_price_cpm:.4f}")
+    if fmt.include_size and n.slot_size:
+        width, height = n.slot_size.split("x")
+        parts += ("&width=", _quote(width), "&height=", _quote(height))
+    elif n.slot_size:
+        parts += ("&size=", _quote(n.slot_size))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

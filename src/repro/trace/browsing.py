@@ -10,11 +10,14 @@ section 4.3) recovers profiles close to the generative ones.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.rtb.entities import Publisher
 from repro.trace.population import UserProfile
 from repro.trace.publishers import MarketUniverse
+from repro.util.rng import WeightedDraw
 from repro.util.timeutil import SECONDS_PER_DAY, Period
 
 #: Relative browsing intensity per hour of day (0..23).
@@ -40,8 +43,13 @@ MONTH_WEIGHTS = np.array(
 INTEREST_LOYALTY = 0.7
 
 
+@functools.lru_cache(maxsize=16)
 def _day_weights(period: Period) -> np.ndarray:
-    """Unnormalised sampling weight for every day in the period."""
+    """Unnormalised sampling weight for every day in the period.
+
+    Cached per period (a simulation draws event times once per user);
+    the array is read-only because every caller shares it.
+    """
     n_days = int(np.ceil(period.days))
     days = np.arange(n_days)
     ts0 = period.start
@@ -52,6 +60,7 @@ def _day_weights(period: Period) -> np.ndarray:
         dow = (int(ts // SECONDS_PER_DAY) + 3) % 7  # 1970-01-01 was a Thursday
         month = int(str(moment.astype("datetime64[M]"))[5:7])
         weights[d] = DOW_WEIGHTS[dow] * MONTH_WEIGHTS[month - 1]
+    weights.setflags(write=False)
     return weights
 
 
@@ -82,21 +91,36 @@ class PublisherChooser:
     """Chooses which publisher a user visits, given interests and kind.
 
     Precomputes per-(category, kind) publisher lists and popularity
-    distributions once, then draws in O(1) per pageview.
+    draws once, and each interest profile's category draw on first use,
+    then draws in O(log n) per pageview.
     """
 
     def __init__(self, universe: MarketUniverse):
-        self._by_key: dict[tuple[str, bool], tuple[list[Publisher], np.ndarray]] = {}
-        self._all: dict[bool, tuple[list[Publisher], np.ndarray]] = {}
+        self._by_key: dict[tuple[str, bool], tuple[list[Publisher], WeightedDraw]] = {}
+        self._all: dict[bool, tuple[list[Publisher], WeightedDraw]] = {}
+        self._interests: dict[tuple[tuple[str, float], ...],
+                              tuple[list[str], WeightedDraw]] = {}
         for is_app in (False, True):
             pubs = list(universe.app_publishers if is_app else universe.web_publishers)
             pops = np.array([p.popularity for p in pubs])
-            self._all[is_app] = (pubs, pops / pops.sum())
+            self._all[is_app] = (pubs, WeightedDraw(pops / pops.sum()))
             categories = {p.iab_category for p in pubs}
             for cat in categories:
                 group = [p for p in pubs if p.iab_category == cat]
                 weights = np.array([p.popularity for p in group])
-                self._by_key[(cat, is_app)] = (group, weights / weights.sum())
+                self._by_key[(cat, is_app)] = (
+                    group, WeightedDraw(weights / weights.sum())
+                )
+
+    def _interest_draw(
+        self, weights: tuple[tuple[str, float], ...]
+    ) -> tuple[list[str], WeightedDraw]:
+        entry = self._interests.get(weights)
+        if entry is None:
+            codes = [c for c, _ in weights]
+            probs = np.array([w for _, w in weights])
+            entry = self._interests[weights] = (codes, WeightedDraw(probs / probs.sum()))
+        return entry
 
     def choose(
         self,
@@ -105,13 +129,12 @@ class PublisherChooser:
         is_app: bool,
     ) -> Publisher:
         """Draw the next publisher this user visits."""
-        if user.interests.weights and rng.random() < INTEREST_LOYALTY:
-            codes = [c for c, _ in user.interests.weights]
-            probs = np.array([w for _, w in user.interests.weights])
-            code = codes[int(rng.choice(len(codes), p=probs / probs.sum()))]
-            entry = self._by_key.get((code, is_app))
+        interests = user.interests.weights
+        if interests and rng.random() < INTEREST_LOYALTY:
+            codes, draw = self._interest_draw(interests)
+            entry = self._by_key.get((codes[draw(rng)], is_app))
             if entry is not None:
-                pubs, weights = entry
-                return pubs[int(rng.choice(len(pubs), p=weights))]
-        pubs, weights = self._all[is_app]
-        return pubs[int(rng.choice(len(pubs), p=weights))]
+                pubs, draw = entry
+                return pubs[draw(rng)]
+        pubs, draw = self._all[is_app]
+        return pubs[draw(rng)]

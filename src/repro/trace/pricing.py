@@ -159,6 +159,13 @@ class GroundTruthPriceModel:
     iab_multipliers: dict[str, float] = field(
         default_factory=lambda: dict(IAB_MULTIPLIERS)
     )
+    #: ``(request, value)`` of the last :meth:`value_cpm` call.  Every
+    #: bidder of an auction prices the same request, so the common value
+    #: is computed once per auction; holding the request (not its
+    #: ``id``) keeps a recycled id from aliasing a dead request.
+    _last: tuple[BidRequest | None, float] = field(
+        default=(None, 0.0), init=False, repr=False, compare=False
+    )
 
     def deterministic_value(self, request: BidRequest) -> float:
         """The multiplier product, before the impression shock."""
@@ -200,10 +207,16 @@ class GroundTruthPriceModel:
         common-value component -- second-price competition then adds the
         bidder-private spread on top.
         """
+        last_request, last_value = self._last
+        if last_request is request:
+            return last_value
         z = _unit_to_normal(_hash_unit(f"shock:{request.auction_id}"))
-        return self.deterministic_value(request) * math.exp(
+        value = self.deterministic_value(request) * math.exp(
             self.shock_sigma(request) * z
         )
+        # Frozen dataclass: the memo is the one field that changes.
+        object.__setattr__(self, "_last", (request, value))
+        return value
 
     def __call__(self, request: BidRequest) -> float:
         return self.value_cpm(request)

@@ -9,6 +9,7 @@ shows (the 300x250 "MPU" overtakes the 320x50 banner around May).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,8 @@ import numpy as np
 from repro.rtb.adslots import AdSlotSize
 from repro.rtb.entities import Advertiser, Publisher
 from repro.rtb.iab import DATASET_CATEGORIES
-from repro.util.timeutil import month_of, year_of
+from repro.util.rng import WeightedDraw
+from repro.util.timeutil import from_epoch
 
 #: Relative frequency of each IAB category among publishers (news and
 #: entertainment dominate mobile browsing; science is a long-tail
@@ -63,17 +65,16 @@ _TABLET_SLOT_WEIGHTS: dict[str, float] = {
 }
 
 
-def slot_weights_for(ts: float, device_type: str) -> tuple[list[str], np.ndarray]:
-    """Slot labels and sampling weights at a point in time.
+def _months_since_2015(ts: float) -> int:
+    moment = from_epoch(ts)
+    return (moment.year - 2015) * 12 + (moment.month - 1)
 
-    The drift is indexed by months elapsed since January 2015, so the
-    2016 probe campaigns see the late-2015 mix continued.
-    """
+
+def _slot_weights(device_type: str, months_since: int) -> tuple[list[str], np.ndarray]:
     if device_type == "tablet":
         labels = list(_TABLET_SLOT_WEIGHTS)
         weights = np.array([_TABLET_SLOT_WEIGHTS[lbl] for lbl in labels])
     else:
-        months_since = (year_of(ts) - 2015) * 12 + (month_of(ts) - 1)
         labels = list(_PHONE_SLOT_DRIFT)
         weights = np.array(
             [max(0.001, base + drift * months_since)
@@ -82,12 +83,27 @@ def slot_weights_for(ts: float, device_type: str) -> tuple[list[str], np.ndarray
     return labels, weights / weights.sum()
 
 
+def slot_weights_for(ts: float, device_type: str) -> tuple[list[str], np.ndarray]:
+    """Slot labels and sampling weights at a point in time.
+
+    The drift is indexed by months elapsed since January 2015, so the
+    2016 probe campaigns see the late-2015 mix continued.
+    """
+    return _slot_weights(device_type, _months_since_2015(ts))
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_draw(device_type: str, months_since: int
+               ) -> tuple[tuple[AdSlotSize, ...], WeightedDraw]:
+    labels, weights = _slot_weights(device_type, months_since)
+    return tuple(AdSlotSize.parse(lbl) for lbl in labels), WeightedDraw(weights)
+
+
 def sample_slot_size(rng: np.random.Generator, ts: float,
                      device_type: str) -> AdSlotSize:
     """Draw the auctioned slot size for one impression."""
-    labels, weights = slot_weights_for(ts, device_type)
-    label = labels[int(rng.choice(len(labels), p=weights))]
-    return AdSlotSize.parse(label)
+    sizes, draw = _slot_draw(device_type, _months_since_2015(ts))
+    return sizes[draw(rng)]
 
 
 @dataclass(frozen=True)
@@ -136,14 +152,14 @@ def build_universe(
     """Deterministically generate the market's publishers/advertisers."""
     iab_codes = list(IAB_PUBLISHER_WEIGHTS)
     iab_weights = np.array([IAB_PUBLISHER_WEIGHTS[c] for c in iab_codes])
-    iab_weights = iab_weights / iab_weights.sum()
+    draw_iab = WeightedDraw(iab_weights / iab_weights.sum())
 
     def make_publishers(count: int, is_app: bool) -> tuple[Publisher, ...]:
         pops = _zipf_popularities(count)
         pubs = []
         words = _APP_WORDS if is_app else _WEB_WORDS
         for i in range(count):
-            iab = iab_codes[int(rng.choice(len(iab_codes), p=iab_weights))]
+            iab = iab_codes[draw_iab(rng)]
             word = words[int(rng.integers(0, len(words)))]
             if is_app:
                 domain = f"app{i:03d}.{word}.example"

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro import obs
 from repro.rtb.bidding import Dsp, FeatureBidEngine
 from repro.rtb.campaign import Campaign, TargetingSpec
 from repro.rtb.cookiesync import CookieSyncRegistry
@@ -43,7 +44,7 @@ from repro.trace.weblog import (
     HttpRequest,
     Weblog,
 )
-from repro.util.rng import DEFAULT_SEED, RngRegistry
+from repro.util.rng import DEFAULT_SEED, RngRegistry, WeightedDraw
 from repro.util.timeutil import Period, epoch
 from repro.rtb.cookiesync import synced_uid
 
@@ -308,130 +309,139 @@ def simulate_period(
 
     adx_names = list(MARKET_SHARES)
     adx_probs = np.array([MARKET_SHARES[n] for n in adx_names])
-    adx_probs = adx_probs / adx_probs.sum()
+    draw_adx = WeightedDraw(adx_probs / adx_probs.sum())
 
-    weights = activity_weights(users)
-    per_user = rng.multinomial(n_auctions, weights)
+    rows_before = len(weblog.rows)
+    sold = 0
+    with obs.span("trace.period", start=period.start, end=period.end) as period_span:
+        weights = activity_weights(users)
+        per_user = rng.multinomial(n_auctions, weights)
 
-    auction_seq = 0
-    for user, n_events in zip(users, per_user):
-        if n_events == 0:
-            continue
-        times = sample_event_times(rng, period, int(n_events))
-        times.sort()
-        market.dmp.ingest(
-            user.user_id,
-            interests=user.interests,
-            city=user.city.name,
-            device_os=user.device.os,
-        )
-        for ts in times:
-            ts = float(ts)
-            is_app = bool(rng.random() < user.app_fraction)
-            publisher = chooser.choose(rng, user, is_app)
-            slot = sample_slot_size(rng, ts, user.device.device_type)
-            adx_name = adx_names[int(rng.choice(len(adx_names), p=adx_probs))]
-            exchange = market.exchanges[adx_name]
-
-            auction_seq += 1
-            auction_id = f"a-{period.start:.0f}-{auction_seq:08d}"
-            request = BidRequest(
-                auction_id=auction_id,
-                timestamp=ts,
-                imp=Impression(
-                    impression_id=f"{auction_id}-i0",
-                    slot_size=slot,
-                    bidfloor_cpm=config.floor_cpm,
-                ),
-                publisher=publisher.domain,
-                publisher_iab=publisher.iab_category,
-                device=Device(
-                    os=user.device.os,
-                    device_type=user.device.device_type,
-                    user_agent=user.device.user_agent(is_app),
-                    ip=user.ip,
-                ),
-                geo=Geo(country="ES", city=user.city.name),
-                user=UserInfo(
-                    exchange_uid=synced_uid(adx_name, user.user_id),
-                    buyer_uids=market.sync_registry.known_destinations(
-                        user.user_id, adx_name
-                    ),
-                ),
-                is_app=is_app,
-                adx=adx_name,
-            )
-
-            # The pageview itself.
-            weblog.add_row(_content_row(ts, user, publisher, is_app, rng))
-            if rng.random() < config.analytics_probability:
-                dom = _ANALYTICS_DOMAINS[int(rng.integers(0, len(_ANALYTICS_DOMAINS)))]
-                weblog.add_row(
-                    HttpRequest(
-                        timestamp=ts + 0.2,
-                        user_id=user.user_id,
-                        url=f"https://{dom}/collect?v=1&uid={user.user_id}",
-                        domain=dom,
-                        user_agent=user.device.user_agent(is_app),
-                        kind=KIND_ANALYTICS,
-                        bytes_transferred=int(rng.integers(200, 900)),
-                        duration_ms=float(rng.lognormal(np.log(60), 0.5)),
-                        client_ip=user.ip,
-                    )
-                )
-
-            record = exchange.run_auction(request, dsps, market.policy)
-            if record is None:
+        auction_seq = 0
+        for user, n_events in zip(users, per_user):
+            if n_events == 0:
                 continue
-
-            weblog.add_row(
-                HttpRequest(
-                    timestamp=ts + 0.5,
-                    user_id=user.user_id,
-                    url=record.nurl,
-                    domain=record.nurl.split("/", 3)[2],
-                    user_agent=user.device.user_agent(is_app),
-                    kind=KIND_NURL,
-                    bytes_transferred=int(rng.integers(300, 1200)),
-                    duration_ms=float(rng.lognormal(np.log(80), 0.5)),
-                    client_ip=user.ip,
-                )
+            times = sample_event_times(rng, period, int(n_events))
+            times.sort()
+            market.dmp.ingest(
+                user.user_id,
+                interests=user.interests,
+                city=user.city.name,
+                device_os=user.device.os,
             )
-            weblog.add_impression(GroundTruthImpression(user.user_id, record))
+            for ts in times:
+                ts = float(ts)
+                is_app = bool(rng.random() < user.app_fraction)
+                publisher = chooser.choose(rng, user, is_app)
+                slot = sample_slot_size(rng, ts, user.device.device_type)
+                adx_name = adx_names[draw_adx(rng)]
+                exchange = market.exchanges[adx_name]
 
-            if rng.random() < config.sync_probability:
-                dsp_name = record.notification.dsp
-                _, was_new = market.sync_registry.sync(
-                    user.user_id, adx_name, dsp_name
+                auction_seq += 1
+                auction_id = f"a-{period.start:.0f}-{auction_seq:08d}"
+                request = BidRequest(
+                    auction_id=auction_id,
+                    timestamp=ts,
+                    imp=Impression(
+                        impression_id=f"{auction_id}-i0",
+                        slot_size=slot,
+                        bidfloor_cpm=config.floor_cpm,
+                    ),
+                    publisher=publisher.domain,
+                    publisher_iab=publisher.iab_category,
+                    device=Device(
+                        os=user.device.os,
+                        device_type=user.device.device_type,
+                        user_agent=user.device.user_agent(is_app),
+                        ip=user.ip,
+                    ),
+                    geo=Geo(country="ES", city=user.city.name),
+                    user=UserInfo(
+                        exchange_uid=synced_uid(adx_name, user.user_id),
+                        buyer_uids=market.sync_registry.known_destinations(
+                            user.user_id, adx_name
+                        ),
+                    ),
+                    is_app=is_app,
+                    adx=adx_name,
                 )
-                if was_new:
+
+                # The pageview itself.
+                weblog.add_row(_content_row(ts, user, publisher, is_app, rng))
+                if rng.random() < config.analytics_probability:
+                    n_domains = len(_ANALYTICS_DOMAINS)
+                    dom = _ANALYTICS_DOMAINS[int(rng.integers(0, n_domains))]
                     weblog.add_row(
                         HttpRequest(
-                            timestamp=ts + 0.7,
+                            timestamp=ts + 0.2,
                             user_id=user.user_id,
-                            url=market.sync_registry.beacon_url(
-                                user.user_id, adx_name, dsp_name
-                            ),
-                            domain=f"sync.{adx_name.lower()}.com",
+                            url=f"https://{dom}/collect?v=1&uid={user.user_id}",
+                            domain=dom,
                             user_agent=user.device.user_agent(is_app),
-                            kind=KIND_SYNC,
-                            bytes_transferred=int(rng.integers(100, 400)),
-                            duration_ms=float(rng.lognormal(np.log(50), 0.5)),
+                            kind=KIND_ANALYTICS,
+                            bytes_transferred=int(rng.integers(200, 900)),
+                            duration_ms=float(rng.lognormal(np.log(60), 0.5)),
                             client_ip=user.ip,
                         )
                     )
 
-        # Non-auctioned browsing: shapes interest inference and the
-        # per-user HTTP statistics of Table 4.
-        n_extra = int(round(n_events * config.content_rows_per_auction))
-        if n_extra > 0:
-            extra_times = sample_event_times(rng, period, n_extra)
-            for ts in extra_times:
-                is_app = bool(rng.random() < user.app_fraction)
-                publisher = chooser.choose(rng, user, is_app)
+                record = exchange.run_auction(request, dsps, market.policy)
+                if record is None:
+                    continue
+                sold += 1
+
                 weblog.add_row(
-                    _content_row(float(ts), user, publisher, is_app, rng)
+                    HttpRequest(
+                        timestamp=ts + 0.5,
+                        user_id=user.user_id,
+                        url=record.nurl,
+                        domain=record.nurl.split("/", 3)[2],
+                        user_agent=user.device.user_agent(is_app),
+                        kind=KIND_NURL,
+                        bytes_transferred=int(rng.integers(300, 1200)),
+                        duration_ms=float(rng.lognormal(np.log(80), 0.5)),
+                        client_ip=user.ip,
+                    )
                 )
+                weblog.add_impression(GroundTruthImpression(user.user_id, record))
+
+                if rng.random() < config.sync_probability:
+                    dsp_name = record.notification.dsp
+                    _, was_new = market.sync_registry.sync(
+                        user.user_id, adx_name, dsp_name
+                    )
+                    if was_new:
+                        weblog.add_row(
+                            HttpRequest(
+                                timestamp=ts + 0.7,
+                                user_id=user.user_id,
+                                url=market.sync_registry.beacon_url(
+                                    user.user_id, adx_name, dsp_name
+                                ),
+                                domain=f"sync.{adx_name.lower()}.com",
+                                user_agent=user.device.user_agent(is_app),
+                                kind=KIND_SYNC,
+                                bytes_transferred=int(rng.integers(100, 400)),
+                                duration_ms=float(rng.lognormal(np.log(50), 0.5)),
+                                client_ip=user.ip,
+                            )
+                        )
+
+            # Non-auctioned browsing: shapes interest inference and the
+            # per-user HTTP statistics of Table 4.
+            n_extra = int(round(n_events * config.content_rows_per_auction))
+            if n_extra > 0:
+                extra_times = sample_event_times(rng, period, n_extra)
+                for ts in extra_times:
+                    is_app = bool(rng.random() < user.app_fraction)
+                    publisher = chooser.choose(rng, user, is_app)
+                    weblog.add_row(
+                        _content_row(float(ts), user, publisher, is_app, rng)
+                    )
+
+        period_span.set(
+            auctions=auction_seq, sold=sold, rows=len(weblog.rows) - rows_before
+        )
 
 
 def simulate_dataset(config: SimulationConfig | None = None) -> Weblog:

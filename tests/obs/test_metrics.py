@@ -36,7 +36,7 @@ class TestCounter:
         assert c.value(route="/estimate") == 2
         assert c.value(route="/model") == 1
         assert c.total() == 3
-        assert c.labeled("route") == {"/estimate": 2.0, "/model": 1.0}
+        assert c.series() == {"route=/estimate": 2.0, "route=/model": 1.0}
 
     def test_label_order_does_not_matter(self):
         c = Counter("x")
@@ -174,7 +174,7 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert counter.total() == n_threads * per_thread
-        assert counter.labeled("route")["/estimate"] == n_threads * (
+        assert counter.series()["route=/estimate"] == n_threads * (
             per_thread // 2
         )
         assert histogram.count == n_threads * per_thread

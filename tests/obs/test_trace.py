@@ -234,3 +234,40 @@ class TestStage:
         assert snap["profile.probe.stage.calls"]["total"] == 1
         assert snap["profile.probe.stage.wall_seconds"]["count"] == 1
         assert snap["profile.probe.stage.cpu_seconds"]["count"] == 1
+
+
+class TestSimulatorSpans:
+    """The simulator and the probe campaigns emit batch-level spans only."""
+
+    def test_one_span_per_period_and_per_campaign_loop(self):
+        from repro.core.pme import PriceModelingEngine
+        from repro.trace.simulate import SimulationConfig, build_market, simulate_dataset
+        from repro.util.rng import RngRegistry
+
+        config = SimulationConfig(n_users=12, target_auctions=150, n_web_publishers=30,
+                                  n_app_publishers=15, n_advertisers=10, seed=5)
+        with obs.start_trace("root") as t:
+            weblog = simulate_dataset(config)
+            market = build_market(config, RngRegistry(config.seed))
+            a1, a2 = PriceModelingEngine(seed=5).run_probe_campaigns(
+                market, auctions_per_setup=1)
+
+        by_id = {r.span_id: r for r in t.records}
+        periods = [r for r in t.records if r.name == "trace.period"]
+        assert len(periods) == 1
+        attrs = periods[0].attrs
+        assert attrs["auctions"] == config.target_auctions
+        assert 0 < attrs["sold"] <= attrs["auctions"]
+        assert attrs["sold"] == weblog.n_impressions
+        assert attrs["rows"] == len(weblog.rows)
+
+        loops = [r for r in t.records if r.name == "pme.campaign_auctions"]
+        assert [by_id[r.parent_id].name for r in loops] == [
+            "pme.campaign_a1", "pme.campaign_a2"]
+        for record, result in zip(loops, (a1, a2)):
+            assert record.attrs["campaign"] == result.name
+            assert record.attrs["auctions"] == len(result.setups)
+            assert record.attrs["impressions"] == len(result.impressions)
+            assert record.attrs["sold"] >= record.attrs["impressions"]
+        # Batch granularity: a handful of spans for ~440 auctions.
+        assert len(t.records) < 10

@@ -1,0 +1,77 @@
+"""Slow reference implementations of the RTB hot path (test oracles).
+
+The production code in ``repro.rtb`` narrows and precomputes; these are
+the straightforward versions it must agree with bit for bit:
+
+* :func:`reference_respond` -- ``Dsp.respond`` as a scan of the whole
+  campaign book, every campaign through ``Campaign.eligible_for``;
+* :func:`reference_build_nurl` -- ``build_nurl`` as a parameter list
+  rendered by ``urlencode(params, quote_via=quote)``.
+"""
+
+from __future__ import annotations
+
+from urllib.parse import quote, urlencode
+
+from repro.rtb.bidding import Dsp
+from repro.rtb.nurl import FORMATS, WinNotification
+from repro.rtb.openrtb import Bid, BidRequest, BidResponse
+
+
+def reference_respond(dsp: Dsp, request: BidRequest) -> BidResponse:
+    """The best bid over a full scan of ``dsp``'s book, in book order."""
+    best_bid: Bid | None = None
+    for campaign in dsp.campaigns:
+        if not campaign.eligible_for(request):
+            continue
+        price = dsp.engine.price_bid(request, campaign, dsp.rng)
+        if price is None or price <= 0:
+            continue
+        if best_bid is None or price > best_bid.price_cpm:
+            best_bid = Bid(
+                dsp=dsp.name,
+                advertiser=campaign.advertiser,
+                campaign_id=campaign.campaign_id,
+                price_cpm=price,
+                creative_domain=f"ads.{campaign.advertiser.lower()}.com",
+            )
+    bids = (best_bid,) if best_bid is not None else ()
+    return BidResponse(auction_id=request.auction_id, dsp=dsp.name, bids=bids)
+
+
+def reference_nurl_params(notification: WinNotification) -> list[tuple[str, str]]:
+    """The nURL query parameters of a notification, in order."""
+    fmt = FORMATS[notification.adx]
+    params: list[tuple[str, str]] = list(fmt.static_params)
+    if notification.is_encrypted:
+        params.append((fmt.price_param, notification.encrypted_price))
+    else:
+        params.append((fmt.price_param, f"{notification.charge_price_cpm:.4f}"))
+    params.append(("imp_id", notification.impression_id))
+    params.append(("auction_id", notification.auction_id))
+    params.append(("bidder_name", notification.dsp))
+    if notification.ad_domain:
+        params.append(("ad_domain", notification.ad_domain))
+    if notification.publisher:
+        params.append(("pub_name", notification.publisher))
+    if notification.country:
+        params.append(("country", notification.country))
+    if notification.campaign_id:
+        params.append(("cmp_id", notification.campaign_id))
+    params.append(("currency", notification.currency))
+    if fmt.include_bid_price and notification.bid_price_cpm is not None:
+        params.append(("bid_price", f"{notification.bid_price_cpm:.4f}"))
+    if fmt.include_size and notification.slot_size:
+        width, height = notification.slot_size.split("x")
+        params.append(("width", width))
+        params.append(("height", height))
+    elif notification.slot_size:
+        params.append(("size", notification.slot_size))
+    return params
+
+
+def reference_build_nurl(notification: WinNotification) -> str:
+    """The nURL rendered through ``urlencode``."""
+    fmt = FORMATS[notification.adx]
+    query = urlencode(reference_nurl_params(notification), quote_via=quote)
+    return f"{fmt.base_url()}?{query}"

@@ -11,6 +11,7 @@ from repro.rtb.nurl import (
     parse_nurl,
 )
 from repro.rtb.pricecrypto import PriceKeys, encrypt_price
+from tests.rtb.reference import reference_build_nurl, reference_nurl_params
 
 KEYS = PriceKeys.derive("nurl-test")
 TOKEN = encrypt_price(1.5, KEYS, bytes(16))
@@ -124,3 +125,53 @@ class TestParserRobustness:
         parsed = parse_nurl(build_nurl(make_notification()))
         assert parsed.params.get("country") == "ES"
         assert parsed.params.get("pub_name") == "news.example.es"
+
+
+#: Values that need escaping, one reserved character each, or sit at
+#: the edge of the unreserved set: space, the query delimiters, the
+#: escape character, tilde (unreserved since Python 3.7), non-ASCII.
+HOSTILE = ("a b", "x&y", "k=v", "100%", "a+b", "a/b", "a?b", "a#b", "~tilde~",
+           "caf\u00e9", "\u65e5\u672c", "", "-._~")
+
+
+@pytest.mark.tier1
+class TestBuildMatchesUrlencode:
+    """``build_nurl`` is byte-identical to the ``urlencode`` reference."""
+
+    @pytest.mark.parametrize("encrypted", [False, True])
+    @pytest.mark.parametrize("adx", sorted(FORMATS))
+    def test_every_exchange(self, adx, encrypted):
+        for bid in (None, 1.1):
+            for size in ("300x250", ""):
+                n = make_notification(adx=adx, price=0.4321, encrypted=encrypted,
+                                      bid_price_cpm=bid, slot_size=size)
+                assert build_nurl(n) == reference_build_nurl(n)
+
+    @pytest.mark.parametrize("encrypted", [False, True])
+    @pytest.mark.parametrize("adx", sorted(FORMATS))
+    @pytest.mark.parametrize("value", HOSTILE)
+    def test_hostile_values_and_round_trip(self, adx, encrypted, value):
+        n = make_notification(
+            adx=adx, encrypted=encrypted, impression_id=f"imp {value}",
+            auction_id=value, dsp=f"dsp{value}", ad_domain=value,
+            publisher=value, country=value, campaign_id=value,
+            currency=value or "USD",
+        )
+        url = build_nurl(n)
+        assert url == reference_build_nurl(n)
+        parsed = parse_nurl(url)
+        assert parsed is not None
+        assert parsed.adx == adx
+        assert parsed.params == dict(reference_nurl_params(n))
+
+    @given(
+        st.sampled_from(sorted(FORMATS)),
+        st.text(max_size=12),
+        st.text(min_size=1, max_size=12),
+        st.floats(min_value=0, max_value=1e6, allow_nan=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_text(self, adx, text, dsp, price):
+        n = make_notification(adx=adx, price=price, auction_id=text,
+                              publisher=text, dsp=dsp)
+        assert build_nurl(n) == reference_build_nurl(n)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.rng import DEFAULT_SEED, RngRegistry, derive_seed, stream
+from repro.util.rng import (
+    DEFAULT_SEED,
+    RngRegistry,
+    WeightedDraw,
+    derive_seed,
+    stream,
+)
 
 
 class TestDeriveSeed:
@@ -59,3 +65,45 @@ class TestRngRegistry:
 
     def test_default_seed_constant(self):
         assert RngRegistry().seed == DEFAULT_SEED
+
+
+#: Weight vectors with zeros (never drawn) and single-entry vectors.
+weight_vectors = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3)),
+    min_size=1,
+    max_size=40,
+).filter(lambda w: sum(w) > 0)
+
+
+@pytest.mark.tier1
+class TestWeightedDraw:
+    """``WeightedDraw`` is ``Generator.choice(n, p=p)``, bit for bit."""
+
+    @given(weight_vectors, st.integers(min_value=0, max_value=2**63), st.integers(1, 8))
+    def test_matches_generator_choice(self, weights, seed, draws):
+        w = np.array(weights)
+        p = w / w.sum()
+        draw = WeightedDraw(p)
+        expected_rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            assert draw(rng) == int(expected_rng.choice(len(p), p=p))
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_single_entry_always_zero(self):
+        rng = np.random.default_rng(3)
+        draw = WeightedDraw(np.array([1.0]))
+        assert [draw(rng) for _ in range(20)] == [0] * 20
+
+    def test_zero_weight_never_drawn(self):
+        rng = np.random.default_rng(4)
+        draw = WeightedDraw(np.array([0.5, 0.0, 0.5, 0.0]))
+        assert {draw(rng) for _ in range(500)} == {0, 2}
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[], [[0.5, 0.5]], [0.5, -0.1], [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]],
+    )
+    def test_invalid_weights_rejected(self, weights):
+        with pytest.raises(ValueError):
+            WeightedDraw(np.array(weights))
