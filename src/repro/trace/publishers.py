@@ -17,8 +17,8 @@ import numpy as np
 from repro.rtb.adslots import AdSlotSize
 from repro.rtb.entities import Advertiser, Publisher
 from repro.rtb.iab import DATASET_CATEGORIES
+from repro.trace.pricing import months_since_2015
 from repro.util.rng import WeightedDraw
-from repro.util.timeutil import from_epoch
 
 #: Relative frequency of each IAB category among publishers (news and
 #: entertainment dominate mobile browsing; science is a long-tail
@@ -65,11 +65,6 @@ _TABLET_SLOT_WEIGHTS: dict[str, float] = {
 }
 
 
-def _months_since_2015(ts: float) -> int:
-    moment = from_epoch(ts)
-    return (moment.year - 2015) * 12 + (moment.month - 1)
-
-
 def _slot_weights(device_type: str, months_since: int) -> tuple[list[str], np.ndarray]:
     if device_type == "tablet":
         labels = list(_TABLET_SLOT_WEIGHTS)
@@ -89,7 +84,7 @@ def slot_weights_for(ts: float, device_type: str) -> tuple[list[str], np.ndarray
     The drift is indexed by months elapsed since January 2015, so the
     2016 probe campaigns see the late-2015 mix continued.
     """
-    return _slot_weights(device_type, _months_since_2015(ts))
+    return _slot_weights(device_type, months_since_2015(ts))
 
 
 @functools.lru_cache(maxsize=256)
@@ -102,7 +97,7 @@ def _slot_draw(device_type: str, months_since: int
 def sample_slot_size(rng: np.random.Generator, ts: float,
                      device_type: str) -> AdSlotSize:
     """Draw the auctioned slot size for one impression."""
-    sizes, draw = _slot_draw(device_type, _months_since_2015(ts))
+    sizes, draw = _slot_draw(device_type, months_since_2015(ts))
     return sizes[draw(rng)]
 
 
