@@ -20,12 +20,7 @@ from repro.trace.weblog import HttpRequest
 
 
 def count_url_params(url: str) -> int:
-    """Number of query parameters in a URL (a Table-4 ad feature).
-
-    Free function so both the batch pipeline and the streaming analyzer
-    can compute it without constructing a throwaway
-    :class:`DetectedNotification`.
-    """
+    """Number of query parameters in a URL (a Table-4 ad feature)."""
     return len(parse_qsl(urlparse(url).query, keep_blank_values=True))
 
 

@@ -71,30 +71,12 @@ _OBSERVATION_KEYS: frozenset[str] = frozenset(
 
 @dataclass
 class AnalysisResult:
-    """Everything one analyzer pass produces.
-
-    ``extractor`` is ``None`` for results adapted from a streaming
-    snapshot (:meth:`repro.analyzer.stream.StreamingAnalyzer.snapshot_result`):
-    a real-time deployment computes per-notification features at
-    observation time and cannot rebuild them retroactively.  Use
-    :meth:`features` for a guarded accessor with a clear error.
-    """
+    """Everything one analyzer pass produces."""
 
     observations: list[PriceObservation]
     traffic_counts: Counter
-    extractor: FeatureExtractor | None = None
+    extractor: FeatureExtractor
     notifications: list[DetectedNotification] = field(default_factory=list)
-
-    def features(self) -> FeatureExtractor:
-        """The feature extractor, or a clear error for streaming snapshots."""
-        if self.extractor is None:
-            raise RuntimeError(
-                "this AnalysisResult is a streaming snapshot and carries no "
-                "FeatureExtractor: per-notification features must be computed "
-                "at observation time (see StreamingAnalyzer.user_state), not "
-                "retroactively"
-            )
-        return self.extractor
 
     # -- basic selections ------------------------------------------------
 

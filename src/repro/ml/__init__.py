@@ -3,9 +3,9 @@
 Provides everything the paper's Price Modeling Engine needs: CART
 decision trees, Random Forests with OOB error and Gini importances,
 Weka-style weighted classification metrics (TP/FP rate, precision,
-recall, AUCROC), stratified k-fold cross validation, PCA, linear/ridge
-regression baselines, feature encoders/filters, and JSON model
-serialisation for shipping trees to YourAdValue clients.
+recall, AUCROC), stratified k-fold cross validation, PCA, feature
+encoders/filters, and JSON model serialisation for shipping trees to
+YourAdValue clients.
 """
 
 from repro.ml.flat import FlatTree, flatten_classifier_tree, flatten_regressor_tree
@@ -37,7 +37,6 @@ from repro.ml.preprocessing import (
     Standardizer,
     VarianceFilter,
 )
-from repro.ml.regression import LinearRegression, RidgeRegression
 from repro.ml.serialize import (
     dumps,
     forest_from_dict,
@@ -78,8 +77,6 @@ __all__ = [
     "Standardizer",
     "VarianceFilter",
     "CorrelationFilter",
-    "LinearRegression",
-    "RidgeRegression",
     "tree_to_dict",
     "tree_from_dict",
     "forest_to_dict",

@@ -37,27 +37,8 @@ from repro.rtb.campaign import (
     TargetingSpec,
     campaign_daypart,
     clone_for_adx,
-    expand_setup_grid,
 )
 from repro.rtb.cookiesync import CookieSyncRegistry, synced_uid
-from repro.rtb.currency import (
-    DEFAULT_RATES_TO_USD,
-    CurrencyConverter,
-    CurrencyError,
-    normalize_price_usd,
-)
-from repro.rtb.openrtb_wire import (
-    OpenRtbError,
-    bid_request_from_dict,
-    bid_request_to_dict,
-    bid_response_from_dict,
-    bid_response_to_dict,
-    dumps_request,
-    dumps_response,
-    loads_request,
-    loads_response,
-)
-from repro.rtb.pacing import PacedEngine, PacingController
 from repro.rtb.entities import (
     DSP_NAMES,
     ENCRYPTING_ADXS,
@@ -129,25 +110,9 @@ __all__ = [
     "TargetingSpec",
     "CAMPAIGN_DAYPARTS",
     "campaign_daypart",
-    "expand_setup_grid",
     "clone_for_adx",
     "CookieSyncRegistry",
     "synced_uid",
-    "CurrencyConverter",
-    "CurrencyError",
-    "DEFAULT_RATES_TO_USD",
-    "normalize_price_usd",
-    "PacingController",
-    "PacedEngine",
-    "OpenRtbError",
-    "bid_request_to_dict",
-    "bid_request_from_dict",
-    "bid_response_to_dict",
-    "bid_response_from_dict",
-    "dumps_request",
-    "loads_request",
-    "dumps_response",
-    "loads_response",
     "MARKET_SHARES",
     "ENCRYPTING_ADXS",
     "DSP_NAMES",

@@ -1,4 +1,4 @@
-"""Ad campaigns: targeting, budgets, pacing.
+"""Ad campaigns: targeting and budgets.
 
 Campaigns are what DSPs bid on behalf of.  The targeting vocabulary is
 exactly the control-variable set of the paper's probe campaigns
@@ -10,9 +10,7 @@ of the trace simulator use loose targeting; the probe campaigns of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 from repro.rtb.openrtb import BidRequest
 from repro.util.timeutil import is_weekend
@@ -131,40 +129,6 @@ class Campaign:
         if self.impressions_won == 0:
             return 0.0
         return self.spent_usd * 1000.0 / self.impressions_won
-
-
-def expand_setup_grid(
-    cities: Iterable[str],
-    contexts: Iterable[str],
-    dayparts: Iterable[str],
-    day_types: Iterable[str],
-    device_oses: Iterable[tuple[str, str, str]],
-    adxs: Iterable[str],
-) -> list[TargetingSpec]:
-    """Cartesian product of campaign control variables (paper section 5.2).
-
-    ``device_oses`` couples device type, OS and slot size since the
-    Table-5 ad formats depend on the device class (smartphone formats vs
-    tablet formats).  Returns one fully pinned :class:`TargetingSpec`
-    per experimental setup.
-    """
-    specs = []
-    for city, ctx, daypart, day_type, (device, os_name, size), adx in itertools.product(
-        cities, contexts, dayparts, day_types, device_oses, adxs
-    ):
-        specs.append(
-            TargetingSpec(
-                cities=frozenset({city}),
-                contexts=frozenset({ctx}),
-                dayparts=frozenset({daypart}),
-                day_types=frozenset({day_type}),
-                device_types=frozenset({device}),
-                oses=frozenset({os_name}),
-                slot_sizes=frozenset({size}),
-                adxs=frozenset({adx}),
-            )
-        )
-    return specs
 
 
 def clone_for_adx(spec: TargetingSpec, adx: str) -> TargetingSpec:

@@ -191,9 +191,3 @@ class AdExchange:
         if self.auctions_run == 0:
             return 0.0
         return self.auctions_sold / self.auctions_run
-
-    def decrypt_own_price(self, token: str) -> float:
-        """ADX-side decryption (used for probe-campaign ground truth)."""
-        from repro.rtb.pricecrypto import decrypt_price
-
-        return decrypt_price(token, self.keys)

@@ -12,6 +12,7 @@ from repro.analyzer.blacklist import (
 )
 from repro.analyzer.detector import (
     classify_rows,
+    count_url_params,
     detect_notifications,
     is_sync_beacon,
     is_web_beacon,
@@ -116,6 +117,10 @@ class TestDetector:
     def test_n_url_params(self):
         det = list(detect_notifications([self._nurl_row()], default_blacklist()))[0]
         assert det.n_url_params >= 5
+
+    def test_count_url_params_free_function(self):
+        assert count_url_params("http://x.test/p?a=1&b=&c=3") == 3
+        assert count_url_params("http://x.test/p") == 0
 
     def test_classify_rows_histogram(self):
         rows = [

@@ -125,10 +125,15 @@ class TestAggregationRegressions:
     def _result(observations):
         from collections import Counter
 
+        from repro.analyzer.blacklist import default_blacklist
+        from repro.analyzer.features import FeatureExtractor
         from repro.analyzer.pipeline import AnalysisResult
 
+        extractor = FeatureExtractor.incremental(
+            default_blacklist(), PublisherDirectory()
+        )
         return AnalysisResult(
-            observations=observations, traffic_counts=Counter(), extractor=None
+            observations=observations, traffic_counts=Counter(), extractor=extractor
         )
 
     @staticmethod
@@ -178,14 +183,6 @@ class TestAggregationRegressions:
         assert result.monthly_pair_encryption() == {}
         assert result.monthly_os_counts() == {}
         assert result.per_user_cleartext_totals() == {}
-
-    def test_features_guard_on_missing_extractor(self):
-        result = self._result([])
-        with pytest.raises(RuntimeError, match="streaming snapshot"):
-            result.features()
-
-    def test_features_returns_extractor_when_present(self, analysis):
-        assert analysis.features() is analysis.extractor
 
 
 class TestInterestInference:

@@ -205,3 +205,29 @@ class TestLegacyKwargRejection:
     def test_unknown_kwarg_still_a_type_error(self, model, rows):
         with pytest.raises(TypeError, match="unexpected keyword"):
             Estimator(model).estimate(rows, frobnicate=1)
+
+
+class TestClientMetadataResilience:
+    def test_client_estimates_with_unknown_metadata(self):
+        """A nURL from an unknown city / unseen slot must still produce a
+        finite positive estimate (the encoder maps unseen to -1)."""
+        rows = [
+            {
+                "context": "app" if i % 2 else "web",
+                "city": ["Madrid", "Barcelona"][i % 2],
+                "slot_size": ["300x250", "320x50"][i % 2],
+            }
+            for i in range(120)
+        ]
+        prices = [0.3 * (3.0 if i % 2 else 1.0) * (1 + 0.001 * (i % 9))
+                  for i in range(120)]
+        model = EncryptedPriceModel.train(
+            rows, prices, feature_names=["context", "city", "slot_size"],
+            n_estimators=5, max_depth=4, seed=0,
+        )
+        estimate = Estimator(model).estimate_one(
+            {"context": "hologram", "city": "Atlantis", "slot_size": "999x1"}
+        )
+        assert np.isfinite(estimate)
+        assert estimate > 0
+        assert min(prices) <= estimate <= max(prices)

@@ -1,4 +1,4 @@
-"""Tests for PCA, regression baselines and model serialisation."""
+"""Tests for PCA and model serialisation."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.pca import PCA
-from repro.ml.regression import LinearRegression, RidgeRegression
 from repro.ml.serialize import (
     dumps,
     forest_from_dict,
@@ -55,48 +54,6 @@ class TestPCA:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             PCA(n_components=1).transform(np.zeros((2, 2)))
-
-
-class TestLinearRegression:
-    def test_exact_fit_on_linear_data(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(200, 3))
-        y = 2.0 * x[:, 0] - 1.5 * x[:, 1] + 0.5
-        model = LinearRegression().fit(x, y)
-        assert model.coef_ == pytest.approx([2.0, -1.5, 0.0], abs=1e-8)
-        assert model.intercept_ == pytest.approx(0.5, abs=1e-8)
-
-    def test_predict_shape(self):
-        x = np.random.default_rng(1).normal(size=(30, 2))
-        y = x[:, 0]
-        model = LinearRegression().fit(x, y)
-        assert model.predict(x).shape == (30,)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            LinearRegression().predict(np.zeros((2, 2)))
-
-
-class TestRidgeRegression:
-    def test_shrinks_towards_zero_with_large_alpha(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(100, 2))
-        y = 3.0 * x[:, 0]
-        small = RidgeRegression(alpha=1e-6).fit(x, y)
-        large = RidgeRegression(alpha=1e5).fit(x, y)
-        assert abs(large.coef_[0]) < abs(small.coef_[0])
-
-    def test_alpha_zero_matches_ols(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(80, 2))
-        y = x[:, 0] - 2 * x[:, 1] + 1.0
-        ridge = RidgeRegression(alpha=0.0).fit(x, y)
-        ols = LinearRegression().fit(x, y)
-        assert np.allclose(ridge.coef_, ols.coef_, atol=1e-8)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            RidgeRegression(alpha=-1.0)
 
 
 class TestSerialization:

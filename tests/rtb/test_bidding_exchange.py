@@ -9,6 +9,7 @@ from repro.rtb.campaign import Campaign, TargetingSpec
 from repro.rtb.exchange import AdExchange, PairEncryptionPolicy
 from repro.rtb.nurl import parse_nurl
 from repro.rtb.openrtb import BidRequest, Device, Geo, Impression, UserInfo
+from repro.rtb.pricecrypto import decrypt_price
 from repro.util.rng import stream
 from repro.util.timeutil import epoch
 
@@ -151,7 +152,7 @@ class TestAdExchange:
         record = adx.run_auction(make_request(), dsps, policy)
         assert record.is_encrypted
         token = record.notification.encrypted_price
-        assert adx.decrypt_own_price(token) == pytest.approx(
+        assert decrypt_price(token, adx.keys) == pytest.approx(
             record.true_charge_price_cpm, abs=1e-6
         )
 

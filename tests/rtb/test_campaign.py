@@ -1,15 +1,13 @@
-"""Tests for campaign targeting, budgets and the setup grid."""
+"""Tests for campaign targeting and budgets."""
 
 import pytest
 
 from repro.rtb.adslots import AdSlotSize
 from repro.rtb.campaign import (
-    CAMPAIGN_DAYPARTS,
     Campaign,
     TargetingSpec,
     campaign_daypart,
     clone_for_adx,
-    expand_setup_grid,
 )
 from repro.rtb.openrtb import BidRequest, Device, Geo, Impression, UserInfo
 from repro.util.timeutil import epoch
@@ -129,25 +127,3 @@ class TestCampaign:
         campaign.record_win(100.0)
         assert not campaign.exhausted
 
-
-class TestSetupGrid:
-    def test_cartesian_count(self):
-        specs = expand_setup_grid(
-            cities=["Madrid", "Barcelona"],
-            contexts=["app", "web"],
-            dayparts=CAMPAIGN_DAYPARTS,
-            day_types=["weekday", "weekend"],
-            device_oses=[("smartphone", "Android", "320x50")],
-            adxs=["MoPub"],
-        )
-        assert len(specs) == 2 * 2 * 3 * 2 * 1 * 1
-
-    def test_specs_fully_pinned(self):
-        (spec,) = expand_setup_grid(
-            ["Madrid"], ["app"], ["9am-6pm"], ["weekday"],
-            [("smartphone", "iOS", "300x250")], ["OpenX"],
-        )
-        assert spec.cities == frozenset({"Madrid"})
-        assert spec.oses == frozenset({"iOS"})
-        assert spec.slot_sizes == frozenset({"300x250"})
-        assert spec.adxs == frozenset({"OpenX"})
