@@ -20,11 +20,11 @@ Reports, as one JSON record (``BENCH_forest.json``):
 
 * ``train_rows_per_sec`` per worker count (1/2/4 by default), with the
   bit-identical-to-sequential guarantee asserted along the way;
-* ``predict_rows_per_sec`` per traversal -- naive per-row recursion and
-  an index-partition node walk (baselines local to this bench) against
-  the flattened level-synchronous batch walk, the forest's only
-  inference path -- over >= 50k rows through a 60-tree, depth-18
-  forest (the paper's production shape);
+* ``predict_rows_per_sec`` per traversal -- a naive per-row pointer
+  chase and an index-partition node walk (the oracles of
+  ``tests/ml/reference.py``) against the flat level-synchronous batch
+  walk, the forest's only inference path -- over >= 50k rows through a
+  60-tree, depth-18 forest (the paper's production shape);
 * ``speedup_vs_per_row`` / ``speedup_vs_sequential`` so the acceptance
   bar (flattened >= 5x per-row recursion) is visible in the record;
 * ``cpu_count`` and ``git_sha`` provenance, matching
@@ -69,7 +69,12 @@ except ImportError:  # pragma: no cover - script mode
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from tests.ml.reference import reference_forest
+from tests.ml.reference import (
+    forest_proba,
+    proba_nodes,
+    proba_per_row,
+    reference_forest,
+)
 
 #: The paper's production forest shape (section 5.4 / EncryptedPriceModel).
 N_ESTIMATORS = 60
@@ -256,47 +261,19 @@ def _render_train(record: dict) -> list[str]:
 
 # -- inference baselines -----------------------------------------------------
 #
-# The forest scores only through the flattened arrays; these two walks
-# over the ``TreeNode`` graph are the baselines the flat walk is timed
-# against (and held bit-identical to).
-
-def _leaf_proba(counts: np.ndarray, n_classes: int) -> np.ndarray:
-    total = counts.sum()
-    return counts / total if total > 0 else np.full(n_classes, 1.0 / n_classes)
-
+# The forest scores only through the flat level-synchronous walk; the
+# per-row pointer chase and the index-partition walk of
+# ``tests/ml/reference.py`` are the baselines it is timed against (and
+# held bit-identical to).  Neither calls ``FlatTree.apply``.
 
 def _per_row_proba(forest: RandomForestClassifier, x: np.ndarray) -> np.ndarray:
-    """Naive recursive descent: one pointer chase per (row, tree)."""
-    total = np.zeros((x.shape[0], forest.n_classes_), dtype=float)
-    for tree in forest.trees_:
-        out = np.empty_like(total)
-        for i in range(x.shape[0]):
-            node = tree.root_
-            while not node.is_leaf:
-                node = node.left if x[i, node.feature] <= node.threshold else node.right
-            out[i] = _leaf_proba(node.value, tree.n_classes_)
-        total += out
-    return total / len(forest.trees_)
+    """Naive descent: one pointer chase per (row, tree)."""
+    return forest_proba(forest, x, proba_per_row)
 
 
 def _node_walk_proba(forest: RandomForestClassifier, x: np.ndarray) -> np.ndarray:
     """Index-partition batch walk: one mask per visited node."""
-    total = np.zeros((x.shape[0], forest.n_classes_), dtype=float)
-    for tree in forest.trees_:
-        out = np.empty_like(total)
-        stack = [(tree.root_, np.arange(x.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = _leaf_proba(node.value, tree.n_classes_)
-                continue
-            mask = x[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        total += out
-    return total / len(forest.trees_)
+    return forest_proba(forest, x, proba_nodes)
 
 
 def run_matrix(

@@ -8,7 +8,7 @@ encoders/filters, and JSON model serialisation for shipping trees to
 YourAdValue clients.
 """
 
-from repro.ml.flat import FlatTree, flatten_classifier_tree, flatten_regressor_tree
+from repro.ml.flat import FlatTree
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.metrics import (
     ClassificationReport,
@@ -45,15 +45,12 @@ from repro.ml.serialize import (
     tree_from_dict,
     tree_to_dict,
 )
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, TreeNode
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
-    "TreeNode",
     "FlatTree",
-    "flatten_classifier_tree",
-    "flatten_regressor_tree",
     "RandomForestClassifier",
     "RandomForestRegressor",
     "ClassificationReport",

@@ -1,27 +1,24 @@
-"""Flattened (array-of-struct) tree representation for fast inference.
+"""Flat arrays: the one representation of a fitted tree.
 
-:class:`repro.ml.tree.TreeNode` is the right structure for *fitting* --
-growth is naturally recursive and nodes are born one at a time -- but it
-is the wrong structure for *scoring*: traversing a linked object graph
-costs a Python attribute lookup per node per batch partition, and the
-PME has to score every encrypted impression in dataset D (hundreds of
-thousands of rows through a 60-tree forest).
+A fitted tree is five contiguous numpy arrays indexed by node id
+(``feature``/``threshold``/``left``/``right``/``value``).  Both growers
+-- the histogram engine of :mod:`repro.ml.histsplit` for the classifier
+and the exact regressor grower in :mod:`repro.ml.tree` -- write node
+rows straight into them and build one :class:`FlatTree` at the end of
+``fit``; :mod:`repro.ml.serialize` stores the same arrays (payload
+format 3) and loads every older format into them.  The root is node 0
+and every child id is greater than its parent's id, which the loader
+enforces, so no payload can make a walk loop.
 
-:class:`FlatTree` compiles a fitted ``TreeNode`` graph into five
-contiguous numpy arrays (``feature``/``threshold``/``left``/``right``/
-``value``) indexed by node id.  Batch traversal then becomes a
-*level-synchronous* vectorised walk: one fancy-indexing step advances
-every still-active row by one level, so the Python-interpreter cost is
-``O(depth)`` instead of ``O(rows x depth)`` (per-row recursion) or
-``O(nodes)`` (an index-partition node walk).  It is the only inference
-path; the recursive walks live on in ``tests/ml/reference.py`` as
-oracles, and probabilities are identical to theirs bit for bit: leaf
-class frequencies are normalised once at compile time with exactly the
-division a recursive walk performs at every visit.
-
-The flat form is derived state -- it is recompiled after ``fit`` and
-after deserialisation, never serialised itself, so the JSON model
-package format is unchanged by its existence.
+Batch traversal is a *level-synchronous* vectorised walk: one
+fancy-indexing step advances every still-active row by one level, so
+the Python-interpreter cost is ``O(depth)`` instead of ``O(rows x
+depth)`` (per-row descent) or ``O(nodes)`` (an index-partition node
+walk).  It is the only inference path; the per-row and index-partition
+walks live on in ``tests/ml/reference.py`` as oracles, and
+probabilities are identical to theirs bit for bit: leaf class counts
+are normalised once, when the tree is built, with exactly the division
+a per-row walk performs at every visit (:func:`leaf_probabilities`).
 """
 
 from __future__ import annotations
@@ -31,17 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.ml.tree import TreeNode
 
-__all__ = ["FlatTree", "flatten_classifier_tree", "flatten_regressor_tree"]
-
-#: Sentinel node id / feature id for "no child" / "is a leaf".
-_NO_NODE = -1
+__all__ = ["FlatTree", "leaf_probabilities"]
 
 
 @dataclass
 class FlatTree:
-    """A fitted tree compiled to contiguous arrays.
+    """A fitted tree as contiguous arrays.
 
     ``feature[i] == -1`` marks node ``i`` as a leaf; internal nodes
     carry a feature index, threshold and child node ids.  ``value`` has
@@ -57,6 +50,31 @@ class FlatTree:
     right: np.ndarray        # (n_nodes,) int32, -1 at leaves
     value: np.ndarray        # (n_nodes, n_outputs) float64
 
+    @classmethod
+    def build(cls, feature, threshold, left, right,
+              leaf_values: np.ndarray) -> "FlatTree":
+        """Assemble a tree from per-node columns and its leaf rows.
+
+        ``leaf_values`` holds one ``value`` row per leaf, in node-id
+        order; internal nodes get zero rows.
+        """
+        feature = np.asarray(feature, dtype=np.int32)
+        value = np.zeros((feature.shape[0], leaf_values.shape[1]),
+                         dtype=np.float64)
+        value[feature < 0] = leaf_values
+        # Once per tree per fit/load -- never on the inference path.
+        reg = obs.registry()
+        reg.counter("flat.trees_compiled", "trees built as flat arrays").inc()
+        reg.counter("flat.nodes_compiled",
+                    "total flat nodes allocated").inc(feature.shape[0])
+        return cls(
+            feature=feature,
+            threshold=np.asarray(threshold, dtype=np.float64),
+            left=np.asarray(left, dtype=np.int32),
+            right=np.asarray(right, dtype=np.int32),
+            value=value,
+        )
+
     @property
     def n_nodes(self) -> int:
         return int(self.feature.shape[0])
@@ -65,14 +83,39 @@ class FlatTree:
     def n_outputs(self) -> int:
         return int(self.value.shape[1])
 
+    def n_leaves(self) -> int:
+        return int(np.count_nonzero(self.feature < 0))
+
+    def depth(self) -> int:
+        """Longest root-to-leaf edge count (a lone leaf has depth 0)."""
+        level = np.zeros(1, dtype=np.int64)
+        depth = 0
+        while True:
+            level = level[self.feature[level] >= 0]
+            if not level.size:
+                return depth
+            level = np.concatenate((self.left[level], self.right[level]))
+            depth += 1
+
+    def decision_path(self, row: np.ndarray) -> list[tuple[int, float, bool]]:
+        """The ``(feature, threshold, went_left)`` steps of one row."""
+        path: list[tuple[int, float, bool]] = []
+        node = 0
+        while self.feature[node] >= 0:
+            feature = int(self.feature[node])
+            threshold = float(self.threshold[node])
+            went_left = bool(row[feature] <= threshold)
+            path.append((feature, threshold, went_left))
+            node = self.left[node] if went_left else self.right[node]
+        return path
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Leaf node id reached by every row of ``x`` (vectorised).
 
         The walk is level-synchronous: each iteration advances all rows
         that have not yet reached a leaf by one tree level, comparing
-        ``x[row, feature] <= threshold`` exactly as the recursive
-        traversal does (NaN compares false and routes right, matching
-        the per-row walk).
+        ``x[row, feature] <= threshold`` exactly as a per-row descent
+        does (NaN compares false and routes right).
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         feature = self.feature
@@ -94,136 +137,24 @@ class FlatTree:
         return self.value[self.apply(x)]
 
 
-def _flatten(root: TreeNode, n_outputs: int, leaf_rows) -> FlatTree:
-    """Compile ``root`` to arrays; ``leaf_rows(nodes)`` yields value rows.
+def leaf_probabilities(counts: np.ndarray, n_classes: int) -> np.ndarray:
+    """Class-probability rows of leaf class-count rows.
 
-    Uses an explicit stack (a deep fitted tree must not be bounded by
-    the interpreter recursion limit) and assigns node ids in pre-order,
-    left child first, so recompiling the same tree always produces the
-    same arrays.  The single walk collects plain Python lists (cheap
-    per node) and materialises every array in one vectorised shot at
-    the end -- ``leaf_rows`` receives the *list* of leaf nodes in id
-    order and returns their stacked ``(n_leaves, n_outputs)`` value
-    block, so per-leaf numpy calls never happen.
+    Each row is ``counts / total``, or uniform over the row's own width
+    for an empty leaf.  Count rows narrower than ``n_classes`` (a tree
+    from a version-1 payload whose bootstrap missed the top labels) are
+    aligned by label: count column ``j`` is class label ``j``, so the
+    missing top labels get probability zero.
     """
-    ids: list[int] = []
-    features: list[int] = []
-    thresholds: list[float] = []
-    lefts: list[int] = []
-    rights: list[int] = []
-    leaf_ids: list[int] = []
-    leaves: list[TreeNode] = []
-
-    # Single walk, ids assigned exactly as before (a node's children
-    # get the next two ids the moment their parent is visited); rows
-    # are collected in visit order and scattered to id order in one
-    # fancy-indexing shot per array below.  Parallel node/id stacks and
-    # locally-bound list methods keep the per-node interpreter cost to
-    # a handful of bytecodes -- this walk runs once per tree of a
-    # 60-tree forest with tens of thousands of nodes each.
-    next_id = 1
-    node_stack: list[TreeNode] = [root]
-    id_stack: list[int] = [0]
-    nan = float("nan")
-    pop_node, pop_id = node_stack.pop, id_stack.pop
-    push_node, push_id = node_stack.append, id_stack.append
-    add_id, add_feature = ids.append, features.append
-    add_threshold = thresholds.append
-    add_left, add_right = lefts.append, rights.append
-    add_leaf_id, add_leaf = leaf_ids.append, leaves.append
-    while node_stack:
-        node = pop_node()
-        idx = pop_id()
-        add_id(idx)
-        feature = node.feature
-        if feature is None:
-            add_feature(_NO_NODE)
-            add_threshold(nan)
-            add_left(_NO_NODE)
-            add_right(_NO_NODE)
-            add_leaf_id(idx)
-            add_leaf(node)
-            continue
-        left, right, threshold = node.left, node.right, node.threshold
-        assert left is not None and right is not None
-        assert threshold is not None
-        add_feature(feature)
-        add_threshold(threshold)
-        left_id = next_id
-        right_id = next_id + 1
-        next_id += 2
-        add_left(left_id)
-        add_right(right_id)
-        # Push right first so the left subtree is processed (and hence
-        # filled) first; ids are already fixed either way.
-        push_node(right)
-        push_id(right_id)
-        push_node(left)
-        push_id(left_id)
-
-    n_nodes = len(features)
-    order = np.asarray(ids, dtype=np.int64)
-    feature = np.empty(n_nodes, dtype=np.int32)
-    feature[order] = features
-    threshold = np.empty(n_nodes, dtype=np.float64)
-    threshold[order] = thresholds
-    left = np.empty(n_nodes, dtype=np.int32)
-    left[order] = lefts
-    right = np.empty(n_nodes, dtype=np.int32)
-    right[order] = rights
-    value = np.zeros((n_nodes, n_outputs), dtype=np.float64)
-    if leaves:
-        value[np.asarray(leaf_ids, dtype=np.int64)] = leaf_rows(leaves)
-    # Compile-time bookkeeping (once per tree per fit/deserialise --
-    # never on the per-batch inference path).
-    reg = obs.registry()
-    reg.counter("flat.trees_compiled", "trees compiled to flat arrays").inc()
-    reg.counter("flat.nodes_compiled", "total flat nodes allocated").inc(n_nodes)
-    return FlatTree(
-        feature=feature, threshold=threshold, left=left, right=right, value=value
-    )
-
-
-def flatten_classifier_tree(root: TreeNode, n_classes: int) -> FlatTree:
-    """Compile a classifier tree; leaf rows are class probabilities.
-
-    Leaf class-count vectors are normalised here, once, with the same
-    ``counts / total`` (or uniform fallback for an empty leaf) a
-    recursive walk computes per visit -- so flat and recursive
-    probabilities are bit-identical.  Counts from a tree fitted in a
-    smaller class space (a narrower serialised tree) are aligned by
-    class label into the forest's ``n_classes`` columns.  All leaves of one tree share a class space,
-    so the whole normalisation is one stacked divide instead of a
-    numpy round-trip per leaf.
-    """
-
-    def leaf_rows(leaves: list[TreeNode]) -> np.ndarray:
-        counts = np.stack([node.value for node in leaves]).astype(np.float64)
-        m = counts.shape[1]
-        if m > n_classes:
-            raise ValueError(
-                f"leaf has {m} classes, forest space is {n_classes}"
-            )
-        totals = counts.sum(axis=1, keepdims=True)
-        probs = np.full_like(counts, 1.0 / max(1, m))      # empty-leaf fallback
-        np.divide(counts, totals, out=probs, where=totals > 0)
-        if m == n_classes:
-            return probs
-        # Tree class-count vectors index by label (np.bincount), so
-        # column j *is* class label j: aligning is a label scatter.
-        rows = np.zeros((counts.shape[0], n_classes), dtype=np.float64)
-        rows[:, :m] = probs
-        return rows
-
-    return _flatten(root, n_classes, leaf_rows)
-
-
-def flatten_regressor_tree(root: TreeNode) -> FlatTree:
-    """Compile a regressor tree; leaf rows are the single mean target."""
-
-    def leaf_rows(leaves: list[TreeNode]) -> np.ndarray:
-        return np.asarray(
-            [node.value for node in leaves], dtype=np.float64
-        )[:, None]
-
-    return _flatten(root, 1, leaf_rows)
+    counts = np.asarray(counts, dtype=np.float64)
+    m = counts.shape[1]
+    if m > n_classes:
+        raise ValueError(f"leaf has {m} classes, forest space is {n_classes}")
+    totals = counts.sum(axis=1, keepdims=True)
+    probs = np.full_like(counts, 1.0 / max(1, m))      # empty-leaf fallback
+    np.divide(counts, totals, out=probs, where=totals > 0)
+    if m == n_classes:
+        return probs
+    rows = np.zeros((counts.shape[0], n_classes), dtype=np.float64)
+    rows[:, :m] = probs
+    return rows

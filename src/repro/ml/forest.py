@@ -18,9 +18,10 @@ Scale design notes
   bootstrap sample that misses the highest price class still yields a
   full-width ``predict_proba``.  Trees from a narrower class space
   (e.g. a version-1 serialised payload) are aligned once, at load:
-  :func:`repro.ml.serialize.forest_from_dict` compiles each one
-  straight into the forest's ``K`` columns.  Leaf count vectors index
-  by ``np.bincount`` label, so tree column ``j`` is class label ``j``.
+  :func:`repro.ml.serialize.forest_from_dict` builds each one's leaf
+  probabilities straight into the forest's ``K`` columns.  Leaf count
+  vectors index by ``np.bincount`` label, so tree column ``j`` is class
+  label ``j``.
 * **Parallel training.**  ``workers > 1`` fits member trees across a
   process pool.  Every tree's randomness is fully determined by
   ``derive_seed(seed, f"tree-{t}")`` (bootstrap draw and per-split
@@ -28,9 +29,10 @@ Scale design notes
   results are merged strictly in tree order, so a parallel fit is
   **bit-identical** to the sequential one: same trees, same
   ``predict_proba``, same OOB votes, same importances.
-* **Flattened inference.**  Member trees compile to contiguous arrays
-  after fit (:mod:`repro.ml.flat`); ``predict_proba`` aggregates the
-  vectorised flat traversal per tree, in tree order.
+* **Flat inference.**  A member tree *is* its contiguous node arrays
+  (:mod:`repro.ml.flat`), written by the grower during fit or by the
+  loader; ``predict_proba`` aggregates the vectorised flat traversal
+  per tree, in tree order.
 * **One engine per task.**  The classifier trains with the histogram
   engine (:mod:`repro.ml.histsplit`) over one binned copy of ``x``
   shared by every member tree; the regressor, which only serves the
@@ -293,8 +295,8 @@ class RandomForestClassifier:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Average of member-tree leaf class frequencies.
 
-        Every member tree is compiled in the forest's class space (at
-        fit, or at load for narrower serialised trees), so per-tree
+        Every member tree scores in the forest's class space (pinned at
+        fit, or widened at load for narrower serialised trees), so per-tree
         outputs add column for column, in tree order.
         """
         self._check_fitted()

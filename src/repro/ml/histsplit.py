@@ -20,9 +20,9 @@ Four structural choices:
   once from the full training matrix and shared *read-only* across
   member trees and fork-pool workers (copy-on-write pages -- the code
   matrix is never re-binned or re-pickled per tree).  Bin boundaries
-  map back to real feature-space thresholds, so fitted trees are
-  ordinary :class:`~repro.ml.tree.TreeNode` graphs: ``FlatTree``
-  compilation, serialisation and serving never see codes.
+  map back to real feature-space thresholds, so a fitted tree is an
+  ordinary :class:`~repro.ml.flat.FlatTree`: serialisation and serving
+  never see codes.
 * **Level-wise vectorised growth.**  Nodes are grown breadth-first: at
   each depth the class histograms of *every* frontier node land in one
   flattened ``np.bincount`` (histogram address of row ``i`` under node
@@ -31,9 +31,13 @@ Four structural choices:
   (node, feature, bin-boundary) candidate is scored in one broadcast
   pass, and the row partition for the whole level is a single stable
   ``argsort`` on ``(node, side)`` keys.  Per-node Python work collapses
-  to building the two ``TreeNode`` children -- the deep, many-thousand
-  -node trees the price model grows (depth 18, leaf size 2) stop
-  paying a fixed ~25-numpy-call toll per node.
+  to queueing the two children -- the deep, many-thousand-node trees
+  the price model grows (depth 18, leaf size 2) stop paying a fixed
+  ~25-numpy-call toll per node.
+* **Node rows, not node objects.**  Each level records its splits as
+  array slices (parent ids, features, thresholds, child class counts);
+  children take ids in split order, so the tree's columns are
+  assembled in a few vectorised steps when growth ends.
 * **Sibling-histogram subtraction.**  When a node splits, only the
   **smaller** child is re-scanned (all scans of a level share one
   ``bincount``) and the other child's histogram is derived as
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.tree import TreeNode, _entropy, _EPS, _gini, _GrowthParams
+from repro.ml.tree import _entropy, _EPS, _gini, _GrowthParams
 
 __all__ = [
     "MAX_BINS",
@@ -222,17 +226,18 @@ def _chunked(items: list, size: int):
 class HistClassifierGrower:
     """Grows one classification tree over a shared :class:`BinnedDataset`.
 
-    Nodes grow breadth-first.  A *frontier entry* is ``(node, idx,
-    hist)``: a still-splittable :class:`TreeNode`, its row-index
-    multiset into the shared code matrix, and -- in full-feature growth
-    -- its flat ``(bin, class)`` histogram.  With feature subsampling on
-    (the Random Forest configuration) each level histograms only the
-    sampled blocks, addressed compactly as ``(node, sampled slot, class,
-    bin)``, and frontier entries carry no histogram; without it,
-    full-space histograms flow down the tree under sibling subtraction.
-    Stop conditions: zero impurity, fewer than ``min_samples_split``
-    rows, ``max_depth``; a split must leave ``min_samples_leaf`` rows
-    per side and decrease impurity by ``min_impurity_decrease``.
+    Nodes grow breadth-first.  A *frontier entry* is ``(node_id,
+    impurity, idx, hist)``: a still-splittable node, its impurity, its
+    row-index multiset into the shared code matrix, and -- in
+    full-feature growth -- its flat ``(bin, class)`` histogram.  With
+    feature subsampling on (the Random Forest configuration) each level
+    histograms only the sampled blocks, addressed compactly as ``(node,
+    sampled slot, class, bin)``, and frontier entries carry no
+    histogram; without it, full-space histograms flow down the tree
+    under sibling subtraction.  Stop conditions: zero impurity, fewer
+    than ``min_samples_split`` rows, ``max_depth``; a split must leave
+    ``min_samples_leaf`` rows per side and decrease impurity by
+    ``min_impurity_decrease``.
     """
 
     def __init__(
@@ -287,34 +292,62 @@ class HistClassifierGrower:
             self.addr = addr
         self.chunk_nodes = max(1, _CHUNK_ENTRIES // max(1, width))
 
-    def grow(self, idx: np.ndarray) -> TreeNode:
-        """Grow the tree over the row-index (multi)set ``idx``."""
+    def grow(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Grow the tree over the row-index (multi)set ``idx``.
+
+        Returns the node columns ``(feature, threshold, left, right)``
+        and the ``(n_leaves, n_classes)`` integer class counts of the
+        leaves in node-id order.  Ids are breadth-first: the root is
+        node 0, and the ``k``-th split made gets children ``2k + 1``
+        (left) and ``2k + 2`` (right).
+        """
         # Sorted bootstrap indices keep every level's gathers monotone
         # in memory; class counts are order-free, so the fitted tree is
         # unchanged by the reordering.
         idx = np.sort(np.asarray(idx, dtype=np.intp), kind="stable")
         counts = np.bincount(self.y32[idx], minlength=self.n_classes)
         counts = counts.astype(float)
-        root = TreeNode(value=counts, n_samples=int(idx.size),
-                        impurity=self._impurity(counts))
+        impurity = self._impurity(counts)
+        # Per chunk that splits: parent ids, features, thresholds and
+        # the children's class counts (left, right interleaved); the
+        # root enters as a split of nothing that creates node 0.
+        self._splits = [(np.empty(0, np.int64), np.empty(0, np.int64),
+                         np.empty(0), counts[None])]
+        self._n_nodes = 1
         p = self.params
         if (
-            not self.boundary_ok.any()
-            or root.impurity <= _EPS
-            or root.n_samples < p.min_samples_split
-            or (p.max_depth is not None and p.max_depth <= 0)
+            self.boundary_ok.any()
+            and impurity > _EPS
+            and idx.size >= p.min_samples_split
+            and (p.max_depth is None or p.max_depth > 0)
         ):
-            return root
-        root_hist = None if self.use_sampled else self._scan_many([idx])[0]
-        frontier = [(root, idx, root_hist)]
-        depth = 0
-        while frontier:
-            nxt: list = []
-            for chunk in _chunked(frontier, self.chunk_nodes):
-                nxt.extend(self._split_chunk(chunk, depth))
-            frontier = nxt
-            depth += 1
-        return root
+            root_hist = None if self.use_sampled else self._scan_many([idx])[0]
+            frontier = [(0, impurity, idx, root_hist)]
+            depth = 0
+            while frontier:
+                nxt: list = []
+                for chunk in _chunked(frontier, self.chunk_nodes):
+                    nxt.extend(self._split_chunk(chunk, depth))
+                frontier = nxt
+                depth += 1
+        return self._columns()
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The grown tree's node columns and leaf class counts."""
+        parents, features, thresholds, counts = map(
+            np.concatenate, zip(*self._splits)
+        )
+        n_nodes = self._n_nodes
+        feature = np.full(n_nodes, -1, dtype=np.int32)
+        feature[parents] = features
+        threshold = np.full(n_nodes, np.nan)
+        threshold[parents] = thresholds
+        left = np.full(n_nodes, -1, dtype=np.int32)
+        left[parents] = np.arange(1, n_nodes, 2)
+        right = np.full(n_nodes, -1, dtype=np.int32)
+        right[parents] = np.arange(2, n_nodes + 1, 2)
+        leaf_counts = counts[feature < 0].astype(np.int64)
+        return feature, threshold, left, right, leaf_counts
 
     def _scan_many(self, idx_list: list[np.ndarray]) -> np.ndarray:
         """Stacked full-space histograms, one flattened ``bincount``."""
@@ -356,10 +389,10 @@ class HistClassifierGrower:
     def _split_chunk(self, chunk: list, depth: int) -> list:
         """Split every node of one frontier chunk; return the next frontier."""
         k = len(chunk)
-        sizes = np.fromiter((e[1].size for e in chunk), np.int64, count=k)
+        sizes = np.fromiter((e[2].size for e in chunk), np.int64, count=k)
         big = (
-            chunk[0][1] if k == 1
-            else np.concatenate([e[1] for e in chunk])
+            chunk[0][2] if k == 1
+            else np.concatenate([e[2] for e in chunk])
         )
         node_ids = np.repeat(np.arange(k), sizes)
         ok, f_best, b_best, nl_best, lcf, il_l, rcf, ir_l = self._score_chunk(
@@ -383,17 +416,29 @@ class HistClassifierGrower:
         child_sizes[1::2] = sizes[split_ids] - nl_best[split_ids]
         bounds = np.concatenate(([0], np.cumsum(child_sizes)))
 
-        # Plain-int/float views for the construction loop below:
-        # indexing Python lists beats numpy scalar extraction when the
-        # loop runs once per split node of a many-thousand-node level.
-        # Real-space thresholds are gathered for all winners in one
-        # fancy-indexing step over the concatenated edge array.
+        # Record the level's splits as node rows.  Real-space thresholds
+        # are gathered for all winners in one fancy-indexing step over
+        # the concatenated edge array; children take the next ids in
+        # split order, left then right.
+        base = self._n_nodes
+        self._n_nodes += 2 * split_ids.size
+        chunk_ids = np.fromiter((e[0] for e in chunk), np.int64, count=k)
+        self._splits.append((
+            chunk_ids[split_ids],
+            f_best[split_ids],
+            self._flat_thresholds[
+                self._thr_offsets[f_best[split_ids]] + b_best[split_ids]
+            ],
+            np.stack((lcf[split_ids], rcf[split_ids]), axis=1).reshape(
+                -1, self.n_classes
+            ),
+        ))
+
+        # Plain-int/float views for the frontier loop below: indexing
+        # Python lists beats numpy scalar extraction when the loop runs
+        # once per split node of a many-thousand-node level.
         cs_l = child_sizes.tolist()
         bounds_l = bounds.tolist()
-        f_l = f_best.tolist()
-        thr_l = self._flat_thresholds[
-            self._thr_offsets[f_best[split_ids]] + b_best[split_ids]
-        ].tolist()
         depth1 = depth + 1
         sampled = self.use_sampled
         p = self.params
@@ -401,19 +446,16 @@ class HistClassifierGrower:
         depth_ok = p.max_depth is None or depth1 < p.max_depth
 
         nxt: list = []
-        scan_entries: list[tuple[TreeNode | None, np.ndarray]] = []
-        derive: list[tuple[int, np.ndarray, TreeNode, np.ndarray]] = []
+        scan_entries: list[tuple[int | None, float, np.ndarray]] = []
+        derive: list[tuple[int, np.ndarray, int, float, np.ndarray]] = []
         for s, i in enumerate(split_ids.tolist()):
-            node, _, hist = chunk[i]
-            node.feature = f_l[i]
-            node.threshold = thr_l[s]
+            hist = chunk[i][3]
+            left = base + 2 * s
+            right = left + 1
             li = il_l[i]
             ri = ir_l[i]
             ln = cs_l[2 * s]
             rn = cs_l[2 * s + 1]
-            left = TreeNode(value=lcf[i], n_samples=ln, impurity=li)
-            right = TreeNode(value=rcf[i], n_samples=rn, impurity=ri)
-            node.left, node.right = left, right
             li_idx = rows[bounds_l[2 * s]:bounds_l[2 * s + 1]]
             ri_idx = rows[bounds_l[2 * s + 1]:bounds_l[2 * s + 2]]
             # The stop conditions, inlined: the call + attribute traffic
@@ -424,37 +466,38 @@ class HistClassifierGrower:
                 # Compact sampled scoring re-histograms each level
                 # directly; no per-node histogram flows down.
                 if lgrow:
-                    nxt.append((left, li_idx, None))
+                    nxt.append((left, li, li_idx, None))
                 if rgrow:
-                    nxt.append((right, ri_idx, None))
+                    nxt.append((right, ri, ri_idx, None))
                 continue
             if not (lgrow or rgrow):
                 continue
-            small, small_idx, small_grow, large, large_idx, large_grow = (
-                (left, li_idx, lgrow, right, ri_idx, rgrow)
+            (small, small_imp, small_idx, small_grow,
+             large, large_imp, large_idx, large_grow) = (
+                (left, li, li_idx, lgrow, right, ri, ri_idx, rgrow)
                 if li_idx.size <= ri_idx.size
-                else (right, ri_idx, rgrow, left, li_idx, lgrow)
+                else (right, ri, ri_idx, rgrow, left, li, li_idx, lgrow)
             )
             # Sibling subtraction: re-scan only the smaller child (all
             # scans of the level share one bincount below); a growing
-            # larger child takes parent-minus-sibling instead.
+            # larger child takes parent-minus-sibling instead.  A small
+            # child that stops growing is scanned purely to derive its
+            # sibling and leaves the frontier after the subtraction.
             scan_pos = len(scan_entries)
-            scan_entries.append((small, small_idx))
+            scan_entries.append(
+                (small if small_grow else None, small_imp, small_idx)
+            )
             if large_grow:
-                derive.append((scan_pos, hist, large, large_idx))
-            if not small_grow:
-                # Scanned purely to derive the sibling; drop from the
-                # frontier bookkeeping after the subtraction.
-                scan_entries[-1] = (None, small_idx)
+                derive.append((scan_pos, hist, large, large_imp, large_idx))
 
         if sampled or not scan_entries:
             return nxt
-        scanned = self._scan_many([e[1] for e in scan_entries])
-        for pos, (node, node_idx) in enumerate(scan_entries):
+        scanned = self._scan_many([e[2] for e in scan_entries])
+        for pos, (node, impurity, node_idx) in enumerate(scan_entries):
             if node is not None:
-                nxt.append((node, node_idx, scanned[pos]))
-        for pos, parent_hist, node, node_idx in derive:
-            nxt.append((node, node_idx, parent_hist - scanned[pos]))
+                nxt.append((node, impurity, node_idx, scanned[pos]))
+        for pos, parent_hist, node, impurity, node_idx in derive:
+            nxt.append((node, impurity, node_idx, parent_hist - scanned[pos]))
         return nxt
 
     def _score_chunk(self, chunk: list, sizes: np.ndarray,
@@ -477,8 +520,8 @@ class HistClassifierGrower:
             # Every feature in play: cumsum the frontier histograms
             # along the full flat bin axis.
             hist = (
-                chunk[0][2][None] if k == 1
-                else np.stack([e[2] for e in chunk])
+                chunk[0][3][None] if k == 1
+                else np.stack([e[3] for e in chunk])
             )
             csum = np.cumsum(hist, axis=1)
             totals = csum[:, self.n_bins[0] - 1, :]        # every row, once
@@ -597,7 +640,7 @@ class HistClassifierGrower:
             ir_best = ir[ar, best_pos]
 
         best_w = (nl_best * il_best + nr_best * ir_best) / n_node
-        impurity = np.fromiter((e[0].impurity for e in chunk), float, count=k)
+        impurity = np.fromiter((e[1] for e in chunk), float, count=k)
         decrease = impurity - best_w
         p = self.params
         ok = (

@@ -5,59 +5,25 @@ trees over mixed (ordinally encoded) auction features; the model that
 ships to YourAdValue clients is a single decision tree.  scikit-learn is
 not available in the reproduction environment, so this is a complete
 numpy implementation: Gini or entropy impurity, optional feature
-subsampling per split (the Random Forest hook), and JSON-serialisable
-node structure.  The classifier grows with the histogram engine of
-:mod:`repro.ml.histsplit`; the regressor with an exhaustive threshold
-search per feature over cumulative sums.  Both score through the
-flattened arrays of :mod:`repro.ml.flat`.
+subsampling per split (the Random Forest hook).  The classifier grows
+with the histogram engine of :mod:`repro.ml.histsplit`; the regressor
+with an exhaustive threshold search per feature over cumulative sums.
+Both growers write node rows straight into the arrays of one
+:class:`repro.ml.flat.FlatTree`, the only representation of a fitted
+tree: it scores, it answers ``depth``/``n_leaves``/``decision_path``,
+and (with the classifier's integer leaf class counts) it is what
+:mod:`repro.ml.serialize` stores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
+from repro.ml.flat import FlatTree, leaf_probabilities
+
 _EPS = 1e-12
-
-
-@dataclass(slots=True)
-class TreeNode:
-    """A node of a fitted tree.
-
-    Leaves carry a ``value`` (class-count vector for classifiers, mean
-    target for regressors); internal nodes carry a ``feature`` index and
-    ``threshold`` -- samples with ``x[feature] <= threshold`` go left.
-
-    ``slots=True`` matters at fitting scale: a depth-18 forest allocates
-    tens of thousands of nodes per tree, and both growth bookkeeping and
-    the flat compile walk the graph through plain attribute access.
-    """
-
-    value: np.ndarray | float
-    n_samples: int
-    impurity: float
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    def depth(self) -> int:
-        """Height of the subtree rooted here (leaf = 0)."""
-        if self.is_leaf:
-            return 0
-        assert self.left is not None and self.right is not None
-        return 1 + max(self.left.depth(), self.right.depth())
-
-    def n_leaves(self) -> int:
-        """Number of leaves in the subtree rooted here."""
-        if self.is_leaf:
-            return 1
-        assert self.left is not None and self.right is not None
-        return self.left.n_leaves() + self.right.n_leaves()
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -209,12 +175,14 @@ class DecisionTreeClassifier:
         self.criterion = criterion
         self.max_features = max_features
         self.rng = rng
-        self.root_: TreeNode | None = None
         self.n_classes_: int = 0
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
         self.classes_: np.ndarray | None = None
-        self.flat_ = None  # FlatTree, compiled after fit / deserialise
+        self.flat_: FlatTree | None = None
+        #: ``(n_leaves, n_classes_)`` integer class counts of the
+        #: leaves in node-id order -- what the serialiser stores.
+        self.leaf_counts_: np.ndarray | None = None
 
     # -- fitting -----------------------------------------------------------
 
@@ -289,43 +257,37 @@ class DecisionTreeClassifier:
                 ),
                 importance_acc=importance_acc,
             )
-            self.root_ = grower.grow(idx)
+            columns = grower.grow(idx)
         total = importance_acc.sum()
         self.feature_importances_ = (
             importance_acc / total if total > 0 else importance_acc
         )
-        self.compile_flat()
+        self._set_tree(*columns)
         return self
 
-    def compile_flat(self, n_classes: int | None = None):
-        """(Re)compile the flattened inference arrays from ``root_``.
+    def _set_tree(self, feature, threshold, left, right,
+                  leaf_counts: np.ndarray, n_classes: int | None = None):
+        """Install node columns and leaf class counts as the fitted tree.
 
-        Called automatically at the end of ``fit`` and by the
-        deserialiser; also usable after manual ``root_`` surgery.
-        ``n_classes`` compiles into a wider class space than the tree's
-        own -- a forest's, for a member tree loaded from a narrower
-        payload -- so its output columns are forest class labels.
-        Returns the :class:`repro.ml.flat.FlatTree`.
+        Called at the end of ``fit`` and by the deserialiser.
+        ``n_classes`` scores in a wider class space than the tree's own
+        -- a forest's, for a member tree loaded from a narrower payload
+        -- so output columns are forest class labels.
         """
-        from repro.ml.flat import flatten_classifier_tree
-
-        root = self._check_fitted()
         width = self.n_classes_ if n_classes is None else n_classes
-        self.flat_ = flatten_classifier_tree(root, width)
-        return self.flat_
+        self.leaf_counts_ = leaf_counts
+        self.flat_ = FlatTree.build(
+            feature, threshold, left, right,
+            leaf_probabilities(leaf_counts, width),
+        )
 
     # -- prediction --------------------------------------------------------
-
-    def _check_fitted(self) -> TreeNode:
-        if self.root_ is None:
-            raise RuntimeError("tree is not fitted")
-        return self.root_
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class-frequency probabilities of the reached leaf, per row.
 
-        A level-synchronous vectorised walk over the flattened arrays
-        (:meth:`compile_flat`), whose interpreter cost is ``O(depth)``.
+        A level-synchronous vectorised walk over the flat arrays, whose
+        interpreter cost is ``O(depth)``.
         """
         flat = _check_flat(self)
         return flat.predict_value(np.atleast_2d(np.asarray(x, dtype=float)))
@@ -342,26 +304,17 @@ class DecisionTreeClassifier:
     # -- introspection -----------------------------------------------------
 
     def depth(self) -> int:
-        return self._check_fitted().depth()
+        return _check_flat(self).depth()
 
     def n_leaves(self) -> int:
-        return self._check_fitted().n_leaves()
+        return _check_flat(self).n_leaves()
 
     def decision_path(self, row: np.ndarray) -> list[tuple[int, float, bool]]:
         """The (feature, threshold, went_left) sequence for one sample.
 
         YourAdValue surfaces this to explain a price estimate to the user.
         """
-        node = self._check_fitted()
-        path: list[tuple[int, float, bool]] = []
-        row = np.asarray(row, dtype=float)
-        while not node.is_leaf:
-            assert node.feature is not None and node.threshold is not None
-            left = bool(row[node.feature] <= node.threshold)
-            path.append((node.feature, node.threshold, left))
-            node = node.left if left else node.right
-            assert node is not None
-        return path
+        return _check_flat(self).decision_path(np.asarray(row, dtype=float))
 
 
 class DecisionTreeRegressor:
@@ -387,18 +340,8 @@ class DecisionTreeRegressor:
         self.min_samples_leaf = max(1, int(min_samples_leaf))
         self.max_features = max_features
         self.rng = rng
-        self.root_: TreeNode | None = None
         self.n_features_: int = 0
-        self.flat_ = None  # FlatTree, compiled after fit
-
-    def compile_flat(self):
-        """(Re)compile the flattened inference arrays from ``root_``."""
-        from repro.ml.flat import flatten_regressor_tree
-
-        if self.root_ is None:
-            raise RuntimeError("tree is not fitted")
-        self.flat_ = flatten_regressor_tree(self.root_)
-        return self.flat_
+        self.flat_: FlatTree | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
         """Fit on ``x`` and float targets ``y``."""
@@ -409,14 +352,26 @@ class DecisionTreeRegressor:
         if x.shape[0] == 0:
             raise ValueError("cannot fit on zero samples")
         self.n_features_ = x.shape[1]
-        self.root_ = self._grow(x, y, 0, _growth_params(self, self.n_features_))
-        self.compile_flat()
+        rows: list[list] = []
+        self._grow(x, y, 0, _growth_params(self, self.n_features_), rows)
+        feature, threshold, left, right, value = zip(*rows)
+        feature = np.asarray(feature, dtype=np.int32)
+        leaf_values = np.asarray(value, dtype=np.float64)[feature < 0, None]
+        self.flat_ = FlatTree.build(feature, threshold, left, right,
+                                    leaf_values)
         return self
 
     def _grow(self, x: np.ndarray, y: np.ndarray, depth: int,
-              params: _GrowthParams) -> TreeNode:
+              params: _GrowthParams, rows: list[list]) -> int:
+        """Grow the subtree over ``(x, y)``; returns its root's node id.
+
+        Appends one ``[feature, threshold, left, right, mean]`` row per
+        node to ``rows``, in pre-order (a node, then its left subtree,
+        then its right), so every child id exceeds its parent's.
+        """
+        node = len(rows)
+        rows.append([-1, np.nan, -1, -1, float(y.mean())])
         impurity = _variance(y)
-        node = TreeNode(value=float(y.mean()), n_samples=y.size, impurity=impurity)
         if (
             impurity <= _EPS
             or y.size < params.min_samples_split
@@ -449,10 +404,9 @@ class DecisionTreeRegressor:
         if mask.sum() < params.min_samples_leaf or (~mask).sum() < params.min_samples_leaf:
             return node
 
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = self._grow(x[mask], y[mask], depth + 1, params)
-        node.right = self._grow(x[~mask], y[~mask], depth + 1, params)
+        left = self._grow(x[mask], y[mask], depth + 1, params, rows)
+        right = self._grow(x[~mask], y[~mask], depth + 1, params, rows)
+        rows[node][:4] = [best_feature, best_threshold, left, right]
         return node
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -20,13 +20,6 @@ def require_positive(value: float, name: str) -> float:
     return value
 
 
-def require_non_negative(value: float, name: str) -> float:
-    """Validate that a numeric argument is >= 0."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return value
-
-
 def require_in_unit_interval(value: float, name: str) -> float:
     """Validate that a numeric argument lies in [0, 1]."""
     if not 0.0 <= value <= 1.0:

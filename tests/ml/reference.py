@@ -2,30 +2,48 @@
 
 ``src/`` has one training engine per task and one inference path: the
 classifier grows with the histogram engine (:mod:`repro.ml.histsplit`)
-and every tree scores through :class:`repro.ml.flat.FlatTree`.  The
-slower, simpler alternates those replaced live here, where tests and
+and every tree scores through :meth:`repro.ml.flat.FlatTree.apply`.
+The slower, simpler alternates those replaced live here, where tests and
 benchmarks can hold the production paths against them:
 
 * :func:`best_classification_split` -- the exhaustive single-column
   CART threshold search (every midpoint between adjacent distinct
   values);
 * :func:`grow_classifier_tree` -- a plain recursive grower over that
-  search, and :func:`reference_forest`, a forest of such trees drawn
-  with the production forest's bootstrap seeds;
+  search, building a graph of :class:`Node` objects (a class that
+  exists only here), and :func:`reference_forest`, a forest of such
+  trees drawn with the production forest's bootstrap seeds;
 * :func:`leaf_for`, :func:`proba_per_row`, :func:`proba_nodes`,
-  :func:`regressor_predict_nodes` and :func:`forest_proba` -- recursive
-  and index-partition walks over the ``TreeNode`` graph.
+  :func:`regressor_predict_nodes` and :func:`forest_proba` -- per-row
+  pointer chasing and index-partition walks over a fitted tree's node
+  columns.  They never call ``FlatTree.apply``, and classifier leaf
+  probabilities come from the tree's integer ``leaf_counts_``, not from
+  the production ``value`` rows.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.tree import DecisionTreeClassifier, TreeNode, _entropy, _gini
+from repro.ml.serialize import tree_from_dict
+from repro.ml.tree import DecisionTreeClassifier, _entropy, _gini
 from repro.util.rng import derive_seed
 
 _EPS = 1e-12
+
+
+@dataclass
+class Node:
+    """A node of a reference-grown tree: class counts, then a split."""
+
+    counts: np.ndarray
+    feature: int | None = None
+    threshold: float | None = None
+    left: "Node | None" = None
+    right: "Node | None" = None
 
 
 # -- exact split search and recursive growth ---------------------------------
@@ -89,7 +107,7 @@ def grow_classifier_tree(
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
     depth: int = 0,
-) -> TreeNode:
+) -> Node:
     """Grow a CART classification tree depth-first with the exact search.
 
     ``max_features`` features are drawn per node with ``rng.choice``
@@ -97,7 +115,7 @@ def grow_classifier_tree(
     """
     counts = np.bincount(y, minlength=n_classes).astype(float)
     impurity = _gini(counts) if criterion == "gini" else _entropy(counts)
-    node = TreeNode(value=counts, n_samples=y.size, impurity=impurity)
+    node = Node(counts)
     if (
         impurity <= _EPS
         or y.size < min_samples_split
@@ -138,6 +156,35 @@ def grow_classifier_tree(
     return node
 
 
+def tree_payload(root: Node, n_classes: int, n_features: int,
+                 criterion: str = "gini") -> dict:
+    """A reference tree as a format-3 payload (pre-order node ids)."""
+    feature, threshold, left, right, leaf_counts = [], [], [], [], []
+    stack = [(root, None, None)]
+    while stack:
+        node, parent, side = stack.pop()
+        idx = len(feature)
+        if parent is not None:
+            side[parent] = idx
+        if node.feature is None:
+            feature.append(-1)
+            threshold.append(None)
+            leaf_counts.append([int(c) for c in node.counts])
+        else:
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            stack.append((node.right, idx, right))
+            stack.append((node.left, idx, left))
+        left.append(-1)
+        right.append(-1)
+    return {
+        "format": 3, "kind": "decision_tree_classifier",
+        "n_classes": n_classes, "n_features": n_features,
+        "criterion": criterion, "feature": feature, "threshold": threshold,
+        "left": left, "right": right, "leaf_counts": leaf_counts,
+    }
+
+
 def reference_forest(
     x: np.ndarray,
     y: np.ndarray,
@@ -152,8 +199,9 @@ def reference_forest(
     Bootstrap draws use the production forest's per-tree seeds
     (``derive_seed(seed, "tree-t")``), so the two forests see the same
     resamples and differ only in how they grow trees.  The result is a
-    :class:`RandomForestClassifier` with flat-compiled member trees, so
-    it scores through the production inference path.
+    :class:`RandomForestClassifier` whose member trees are loaded
+    through :func:`repro.ml.serialize.tree_from_dict`, so it scores
+    through the production inference path.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -169,28 +217,38 @@ def reference_forest(
     for t in range(n_estimators):
         rng = np.random.default_rng(derive_seed(seed, f"tree-{t}"))
         idx = rng.integers(0, n, size=n)
-        tree = DecisionTreeClassifier(criterion=criterion)
-        tree.n_classes_ = n_classes
-        tree.n_features_ = n_features
-        tree.classes_ = np.arange(n_classes)
-        tree.root_ = grow_classifier_tree(
+        root = grow_classifier_tree(
             x[idx], y[idx], n_classes, criterion=criterion,
             max_depth=max_depth, min_samples_leaf=min_samples_leaf,
             max_features=max_features, rng=rng,
         )
-        tree.compile_flat()
-        forest.trees_.append(tree)
+        forest.trees_.append(tree_from_dict(
+            tree_payload(root, n_classes, n_features, criterion)
+        ))
     return forest
 
 
-# -- recursive and node-partition walks --------------------------------------
+# -- per-row and index-partition walks ---------------------------------------
 
-def leaf_for(root: TreeNode, row: np.ndarray) -> TreeNode:
-    """The leaf one row reaches, by pointer chasing."""
-    node = root
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
+def _columns(tree) -> tuple[list, list, list, list]:
+    """A fitted tree's node columns as plain Python lists."""
+    flat = tree.flat_
+    return (flat.feature.tolist(), flat.threshold.tolist(),
+            flat.left.tolist(), flat.right.tolist())
+
+
+def _descend(columns, row: np.ndarray) -> int:
+    feature, threshold, left, right = columns
+    node = 0
+    while feature[node] >= 0:
+        # NaN compares false and routes right.
+        node = left[node] if row[feature[node]] <= threshold[node] else right[node]
     return node
+
+
+def leaf_for(tree, row: np.ndarray) -> int:
+    """The leaf node id one row reaches, by pointer chasing."""
+    return _descend(_columns(tree), row)
 
 
 def _leaf_proba(counts: np.ndarray, n_classes: int) -> np.ndarray:
@@ -200,36 +258,46 @@ def _leaf_proba(counts: np.ndarray, n_classes: int) -> np.ndarray:
     return np.full(n_classes, 1.0 / n_classes)
 
 
+def leaf_counts(tree: DecisionTreeClassifier) -> dict[int, np.ndarray]:
+    """``{leaf node id: float class counts}`` from ``tree.leaf_counts_``."""
+    leaves = np.flatnonzero(tree.flat_.feature < 0).tolist()
+    return dict(zip(leaves, tree.leaf_counts_.astype(np.float64)))
+
+
 def proba_per_row(tree: DecisionTreeClassifier, x: np.ndarray) -> np.ndarray:
-    """Row-at-a-time recursive descent: one pointer chase per row."""
+    """Row-at-a-time descent: one pointer chase and one divide per row."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    columns = _columns(tree)
+    counts = leaf_counts(tree)
     out = np.empty((x.shape[0], tree.n_classes_), dtype=float)
     for i in range(x.shape[0]):
-        out[i] = _leaf_proba(leaf_for(tree.root_, x[i]).value, tree.n_classes_)
+        out[i] = _leaf_proba(counts[_descend(columns, x[i])], tree.n_classes_)
     return out
 
 
-def _partition_walk(root: TreeNode, x: np.ndarray, out: np.ndarray, leaf_value):
-    stack = [(root, np.arange(x.shape[0]))]
+def _partition_walk(tree, x: np.ndarray, out: np.ndarray, leaf_value):
+    feature, threshold, left, right = _columns(tree)
+    stack = [(0, np.arange(x.shape[0]))]
     while stack:
         node, indices = stack.pop()
         if indices.size == 0:
             continue
-        if node.is_leaf:
+        if feature[node] < 0:
             out[indices] = leaf_value(node)
             continue
-        mask = x[indices, node.feature] <= node.threshold
-        stack.append((node.left, indices[mask]))
-        stack.append((node.right, indices[~mask]))
+        mask = x[indices, feature[node]] <= threshold[node]
+        stack.append((left[node], indices[mask]))
+        stack.append((right[node], indices[~mask]))
     return out
 
 
 def proba_nodes(tree: DecisionTreeClassifier, x: np.ndarray) -> np.ndarray:
-    """Index-partition batch walk over the ``TreeNode`` graph."""
+    """Index-partition batch walk: one mask per visited node."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty((x.shape[0], tree.n_classes_), dtype=float)
+    counts = leaf_counts(tree)
     return _partition_walk(
-        tree.root_, x, out, lambda node: _leaf_proba(node.value, tree.n_classes_)
+        tree, x, out, lambda leaf: _leaf_proba(counts[leaf], tree.n_classes_)
     )
 
 
@@ -237,7 +305,8 @@ def regressor_predict_nodes(tree, x: np.ndarray) -> np.ndarray:
     """Index-partition batch walk of a regression tree."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     out = np.empty(x.shape[0], dtype=float)
-    return _partition_walk(tree.root_, x, out, lambda node: node.value)
+    value = tree.flat_.value[:, 0].tolist()
+    return _partition_walk(tree, x, out, value.__getitem__)
 
 
 def forest_proba(forest: RandomForestClassifier, x: np.ndarray,

@@ -1,25 +1,20 @@
-"""Unit tests for the flattened tree representation (repro.ml.flat)."""
+"""Unit tests for the flat-array tree representation (repro.ml.flat)."""
 
 import numpy as np
 import pytest
 
-from repro.ml.flat import (
-    FlatTree,
-    flatten_classifier_tree,
-    flatten_regressor_tree,
-)
+from repro.ml.flat import FlatTree
 from repro.ml.serialize import dumps, loads, tree_from_dict, tree_to_dict
-from repro.ml.tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    TreeNode,
-)
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from tests.ml.reference import (
+    leaf_counts,
     leaf_for,
     proba_nodes,
     proba_per_row,
     regressor_predict_nodes,
 )
+
+_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
 def _data(n=300, seed=0):
@@ -27,6 +22,13 @@ def _data(n=300, seed=0):
     x = rng.normal(size=(n, 4))
     y = ((x[:, 0] > 0).astype(int) + (x[:, 1] > 0.2).astype(int))
     return x, y
+
+
+def _same_arrays(a: FlatTree, b: FlatTree) -> bool:
+    return all(
+        np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True)
+        for f in _FIELDS
+    )
 
 
 class TestCompilation:
@@ -37,22 +39,27 @@ class TestCompilation:
         assert isinstance(flat, FlatTree)
         assert flat.n_nodes == 2 * tree.n_leaves() - 1
         assert flat.n_outputs == tree.n_classes_
-        # Leaves carry no children; internals always carry both.
+        # Leaves carry no children; internals always carry both, with
+        # ids greater than their own.
         leaves = flat.feature < 0
         assert np.all(flat.left[leaves] == -1)
         assert np.all(flat.right[leaves] == -1)
-        assert np.all(flat.left[~leaves] >= 0)
-        assert np.all(flat.right[~leaves] >= 0)
+        internal = np.flatnonzero(~leaves)
+        assert np.all(flat.left[internal] > internal)
+        assert np.all(flat.right[internal] > internal)
         assert np.all(np.isnan(flat.threshold[leaves]))
+        assert tree.leaf_counts_.shape == (tree.n_leaves(), tree.n_classes_)
 
     def test_recompilation_is_deterministic(self):
+        # Building the arrays again -- a refit, or a serialise/load
+        # round trip -- yields the same arrays.
         x, y = _data()
         tree = DecisionTreeClassifier(max_depth=8).fit(x, y)
-        first = tree.flat_
-        second = tree.compile_flat()
-        for field in ("feature", "threshold", "left", "right", "value"):
-            a, b = getattr(first, field), getattr(second, field)
-            assert np.array_equal(a, b, equal_nan=True)
+        refit = DecisionTreeClassifier(max_depth=8).fit(x, y)
+        loaded = tree_from_dict(loads(dumps(tree_to_dict(tree))))
+        assert _same_arrays(tree.flat_, refit.flat_)
+        assert _same_arrays(tree.flat_, loaded.flat_)
+        assert np.array_equal(tree.leaf_counts_, loaded.leaf_counts_)
 
     def test_single_leaf_tree(self):
         x = np.zeros((10, 2))
@@ -76,11 +83,11 @@ class TestCompilation:
         )
 
     def test_wider_class_space_alignment(self):
-        # Compiling into a wider forest class space scatters by label.
+        # Loading into a wider forest class space scatters by label.
         x, y = _data()
         tree = DecisionTreeClassifier(max_depth=3).fit(x, y)
-        wide = flatten_classifier_tree(tree.root_, tree.n_classes_ + 2)
-        probs = wide.predict_value(x[:10])
+        wide = tree_from_dict(tree_to_dict(tree), tree.n_classes_ + 2)
+        probs = wide.predict_proba(x[:10])
         assert probs.shape == (10, tree.n_classes_ + 2)
         assert np.array_equal(probs[:, : tree.n_classes_],
                               tree.predict_proba(x[:10]))
@@ -90,7 +97,7 @@ class TestCompilation:
         x, y = _data()
         tree = DecisionTreeClassifier(max_depth=3).fit(x, y)
         with pytest.raises(ValueError):
-            flatten_classifier_tree(tree.root_, tree.n_classes_ - 1)
+            tree_from_dict(tree_to_dict(tree), tree.n_classes_ - 1)
 
 
 class TestApply:
@@ -105,11 +112,12 @@ class TestApply:
         x, y = _data(200, seed=9)
         tree = DecisionTreeClassifier(max_depth=9).fit(x, y)
         flat = tree.flat_
+        counts = leaf_counts(tree)
         for i in range(0, 200, 17):
-            leaf_node = leaf_for(tree.root_, x[i])
-            flat_leaf = flat.apply(x[i : i + 1])[0]
-            counts = leaf_node.value
-            assert np.array_equal(flat.value[flat_leaf], counts / counts.sum())
+            leaf = leaf_for(tree, x[i])
+            assert flat.apply(x[i : i + 1])[0] == leaf
+            assert np.array_equal(flat.value[leaf],
+                                  counts[leaf] / counts[leaf].sum())
 
     def test_nan_routes_right_like_recursive(self):
         x, y = _data()
@@ -118,6 +126,29 @@ class TestApply:
         assert np.array_equal(
             tree.predict_proba(probe), proba_nodes(tree, probe)
         )
+
+
+class TestIntrospection:
+    def test_depth_and_paths_match_pointer_chase(self):
+        x, y = _data(400, seed=12)
+        tree = DecisionTreeClassifier(max_depth=7).fit(x, y)
+        flat = tree.flat_
+        # Depth of every node, parents before children (ids grow down).
+        depth = np.zeros(flat.n_nodes, dtype=int)
+        for node in range(flat.n_nodes):
+            if flat.feature[node] >= 0:
+                depth[flat.left[node]] = depth[flat.right[node]] = depth[node] + 1
+        assert tree.depth() == depth.max()
+        assert tree.n_leaves() == int(np.sum(flat.feature < 0))
+        for row in x[:25]:
+            path = tree.decision_path(row)
+            assert len(path) == depth[leaf_for(tree, row)]
+            node = 0
+            for feature, threshold, went_left in path:
+                assert (feature, threshold) == (flat.feature[node],
+                                                flat.threshold[node])
+                node = flat.left[node] if went_left else flat.right[node]
+            assert node == leaf_for(tree, row)
 
 
 class TestRegressorFlat:
@@ -132,8 +163,9 @@ class TestRegressorFlat:
         )
 
     def test_flatten_regressor_single_output(self):
-        root = TreeNode(value=1.5, n_samples=3, impurity=0.0)
-        flat = flatten_regressor_tree(root)
+        tree = DecisionTreeRegressor().fit(np.zeros((3, 1)), np.full(3, 1.5))
+        flat = tree.flat_
+        assert flat.n_nodes == 1
         assert flat.n_outputs == 1
         assert flat.predict_value(np.zeros((2, 1)))[0, 0] == 1.5
 
@@ -143,7 +175,6 @@ class TestSerializeRoundTrip:
         x, y = _data(350, seed=6)
         tree = DecisionTreeClassifier(max_depth=9).fit(x, y)
         clone = tree_from_dict(loads(dumps(tree_to_dict(tree))))
-        assert clone.flat_ is not None  # recompiled on load
         fresh = np.random.default_rng(21).normal(size=(120, 4))
         assert np.array_equal(clone.predict_proba(fresh),
                               tree.predict_proba(fresh))

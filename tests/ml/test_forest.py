@@ -168,10 +168,8 @@ class TestClassSpaceAlignment:
         payload = forest_to_dict(forest)
         payload["n_classes"] = 4
         narrow = payload["trees"][0]
-        narrow["n_classes"] = 3
-        narrow["root"] = {
-            "leaf": True, "value": [1.0, 0.0, 3.0], "n": 4, "impurity": 0.375,
-        }
+        narrow.update(n_classes=3, feature=[-1], threshold=[None], left=[-1],
+                      right=[-1], leaf_counts=[[1, 0, 3]])
         loaded = forest_from_dict(payload)
         probs = loaded.trees_[0].predict_proba(x[:1])
         assert probs.tolist() == [[0.25, 0.0, 0.75, 0.0]]

@@ -259,7 +259,7 @@ class TestPriceModelHist:
         rows, prices = self._rows()
         model = EncryptedPriceModel.train(rows, prices, n_estimators=8, seed=3)
         # Packages never see bin codes: the loaded forest is plain
-        # TreeNode/FlatTree structure and estimates identically.
+        # FlatTree arrays and estimates identically.
         loaded = EncryptedPriceModel.from_package(model.to_package())
         a = model.predict_class(rows[:20])
         b = loaded.predict_class(rows[:20])

@@ -37,15 +37,12 @@ class TestClassifierBasics:
     def test_min_samples_leaf_respected(self):
         x, y = _separable_data(100, 2)
         tree = DecisionTreeClassifier(min_samples_leaf=20).fit(x, y)
-
-        def check(node):
-            if node.is_leaf:
-                assert node.n_samples >= 20
-            else:
-                check(node.left)
-                check(node.right)
-
-        check(tree.root_)
+        # Every training row reaches a leaf, so each leaf's row count is
+        # its training sample count.
+        reached = np.bincount(tree.apply(x), minlength=tree.flat_.n_nodes)
+        leaves = tree.flat_.feature < 0
+        assert tree.n_leaves() > 1
+        assert np.all(reached[leaves] >= 20)
 
     def test_predict_proba_rows_sum_to_one(self):
         x, y = _separable_data()

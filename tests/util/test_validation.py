@@ -6,7 +6,6 @@ from repro.util.validation import (
     require,
     require_in_unit_interval,
     require_non_empty,
-    require_non_negative,
     require_one_of,
     require_positive,
 )
@@ -24,12 +23,6 @@ def test_require_positive():
         require_positive(0, "x")
     with pytest.raises(ValueError):
         require_positive(-1, "x")
-
-
-def test_require_non_negative():
-    assert require_non_negative(0, "x") == 0
-    with pytest.raises(ValueError):
-        require_non_negative(-0.1, "x")
 
 
 def test_require_in_unit_interval():
