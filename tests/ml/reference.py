@@ -159,7 +159,7 @@ def grow_classifier_tree(
 def tree_payload(root: Node, n_classes: int, n_features: int,
                  criterion: str = "gini") -> dict:
     """A reference tree as a format-3 payload (pre-order node ids)."""
-    feature, threshold, left, right, leaf_counts = [], [], [], [], []
+    feature, threshold, left, right, counts = [], [], [], [], []
     stack = [(root, None, None)]
     while stack:
         node, parent, side = stack.pop()
@@ -169,7 +169,7 @@ def tree_payload(root: Node, n_classes: int, n_features: int,
         if node.feature is None:
             feature.append(-1)
             threshold.append(None)
-            leaf_counts.append([int(c) for c in node.counts])
+            counts.append([int(c) for c in node.counts])
         else:
             feature.append(node.feature)
             threshold.append(node.threshold)
@@ -181,7 +181,7 @@ def tree_payload(root: Node, n_classes: int, n_features: int,
         "format": 3, "kind": "decision_tree_classifier",
         "n_classes": n_classes, "n_features": n_features,
         "criterion": criterion, "feature": feature, "threshold": threshold,
-        "left": left, "right": right, "leaf_counts": leaf_counts,
+        "left": left, "right": right, "leaf_counts": counts,
     }
 
 
