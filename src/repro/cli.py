@@ -10,7 +10,7 @@ Six subcommands mirror the deployment's moving parts:
   train) and write the model package plus a summary;
 * ``estimate`` -- price impression contexts with a saved model (a
   single JSON object, or an array / ``--features-file`` for vectorised
-  batch scoring through the flattened forest);
+  batch scoring through the whole-forest arena);
 * ``serve`` -- run the PME as a long-running asyncio HTTP service
   (micro-batched ``/estimate``, ``/model`` distribution with ETags,
   ``/contribute`` ingestion; ``--bootstrap`` additionally trains an
@@ -199,7 +199,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         # Batch scoring: one encode + one vectorised pass through the
-        # flattened forest, not a per-row loop.  --chunk-size bounds
+        # forest arena, not a per-row loop.  --chunk-size bounds
         # rows per pass (memory control); results are identical.
         result = estimator.estimate(features, chunk_size=args.chunk_size)
         print(

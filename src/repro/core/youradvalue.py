@@ -190,6 +190,7 @@ class YourAdValue:
         if version <= self.model_version:
             return False
         self.model = EncryptedPriceModel.from_package(package)
+        self.estimator = Estimator(self.model)
         self.model_version = version
         self.time_correction = self.model.time_correction
         return True

@@ -8,7 +8,7 @@ encoders/filters, and JSON model serialisation for shipping trees to
 YourAdValue clients.
 """
 
-from repro.ml.flat import FlatTree
+from repro.ml.flat import FlatForest, FlatTree
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.metrics import (
     ClassificationReport,
@@ -50,6 +50,7 @@ from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 __all__ = [
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
+    "FlatForest",
     "FlatTree",
     "RandomForestClassifier",
     "RandomForestRegressor",

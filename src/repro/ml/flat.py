@@ -19,17 +19,30 @@ walks live on in ``tests/ml/reference.py`` as oracles, and
 probabilities are identical to theirs bit for bit: leaf class counts
 are normalised once, when the tree is built, with exactly the division
 a per-row walk performs at every visit (:func:`leaf_probabilities`).
+
+A forest scores through one :class:`FlatForest` arena: every member
+tree's arrays concatenated, with child ids offset and one root id per
+tree.  One walk advances all ``(row, tree)`` pairs together, so a
+forest call costs ``O(depth)`` interpreter steps instead of ``O(trees
+x depth)``; at one row -- the YourAdValue client's case -- numpy
+dispatch is the whole cost, and the arena cuts it by the tree count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
 
-__all__ = ["FlatTree", "leaf_probabilities"]
+__all__ = ["FlatForest", "FlatTree", "leaf_probabilities"]
+
+#: Rows per arena walk.  A block of ``1024 x trees`` pairs keeps the
+#: walk's index arrays small enough to stay cache-resident; without
+#: blocks, large batches walk slower than one tree at a time.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -135,6 +148,115 @@ class FlatTree:
     def predict_value(self, x: np.ndarray) -> np.ndarray:
         """Gather the leaf ``value`` row for every row of ``x``."""
         return self.value[self.apply(x)]
+
+
+@dataclass
+class FlatForest:
+    """Every member tree of a forest in one set of node arrays.
+
+    Tree ``t``'s nodes occupy ids ``roots[t]`` up to (not including)
+    ``roots[t + 1]``; child ids are offset by the same amount, so one
+    walk can follow any tree.  Built once per fit or load, from the
+    trees' :class:`FlatTree` arrays, and never mutated.
+    """
+
+    feature: np.ndarray      # (n_nodes,) int32, -1 at leaves
+    threshold: np.ndarray    # (n_nodes,) float64
+    left: np.ndarray         # (n_nodes,) intp, offset child ids
+    right: np.ndarray        # (n_nodes,) intp
+    value: np.ndarray        # (n_nodes, n_outputs) float64
+    roots: np.ndarray        # (n_trees,) intp, root id of each tree
+    internal: np.ndarray     # (n_nodes,) bool, ``feature >= 0``
+
+    @classmethod
+    def from_trees(cls, trees: Sequence[FlatTree]) -> "FlatForest":
+        """Concatenate the trees' arrays, offsetting child ids."""
+        sizes = np.array([tree.n_nodes for tree in trees], dtype=np.intp)
+        roots = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+        offset = np.repeat(roots, sizes)
+        feature = np.concatenate([tree.feature for tree in trees])
+        internal = feature >= 0
+
+        def children(side: str) -> np.ndarray:
+            ids = np.concatenate([getattr(tree, side) for tree in trees])
+            return np.where(internal, ids + offset, -1).astype(np.intp)
+
+        return cls(
+            feature=feature,
+            threshold=np.concatenate([tree.threshold for tree in trees]),
+            left=children("left"),
+            right=children("right"),
+            value=np.concatenate([tree.value for tree in trees]),
+            roots=roots,
+            internal=internal,
+        )
+
+    @property
+    def n_trees(self) -> int:
+        return int(self.roots.shape[0])
+
+    def _leaves(self, x: np.ndarray) -> np.ndarray:
+        """Arena leaf id per ``(tree, row)`` of one block: ``(trees, rows)``.
+
+        The same level-synchronous step as :meth:`FlatTree.apply`, over
+        every pair at once; ``x`` is indexed flat, by ``row *
+        n_features + feature``.  Pairs are laid out tree by tree, so
+        consecutive gathers hit one tree's nodes (~10% faster than row
+        by row at 1,024 rows).
+        """
+        n_rows, n_features = x.shape
+        n_trees = self.n_trees
+        feature = self.feature
+        threshold = self.threshold
+        left = self.left
+        right = self.right
+        internal = self.internal
+        flat_x = x.ravel()
+        node = np.repeat(self.roots, n_rows)
+        row_base = np.tile(np.arange(0, n_rows * n_features, n_features),
+                           n_trees)
+        active = np.flatnonzero(internal[node])
+        while active.size:
+            current = node[active]
+            go_left = (flat_x[row_base[active] + feature[current]]
+                       <= threshold[current])
+            nxt = np.where(go_left, left[current], right[current])
+            node[active] = nxt
+            active = active[internal[nxt]]
+        return node.reshape(n_trees, n_rows)
+
+    def _blocks(self, x: np.ndarray):
+        """``(row slice, leaves)`` per block of ``_BLOCK_ROWS`` rows."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        for lo in range(0, x.shape[0], _BLOCK_ROWS):
+            block = x[lo:lo + _BLOCK_ROWS]
+            yield slice(lo, lo + block.shape[0]), self._leaves(block)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Each tree's own leaf id per row: shape ``(rows, trees)``."""
+        out = np.empty((x.shape[0], self.n_trees), dtype=np.int64)
+        for rows, leaves in self._blocks(x):
+            out[rows] = (leaves - self.roots[:, None]).T
+        return out
+
+    def predict_value(self, x: np.ndarray) -> np.ndarray:
+        """Mean leaf ``value`` row over the trees, per row of ``x``.
+
+        Leaf rows are added in tree order, then divided by the tree
+        count -- the same float operations, in the same order, as
+        summing per-tree outputs one tree at a time, so the result is
+        bit-identical to that.  (``sum(axis=...)`` would sum pairwise
+        and change the bits.)
+        """
+        n_trees = self.n_trees
+        out = np.empty((x.shape[0], self.value.shape[1]), dtype=np.float64)
+        for rows, leaves in self._blocks(x):
+            leaf_rows = self.value[leaves]       # (trees, rows, outputs)
+            total = np.zeros(leaf_rows.shape[1:], dtype=np.float64)
+            for t in range(n_trees):
+                total += leaf_rows[t]
+            out[rows] = total / n_trees
+        return out
 
 
 def leaf_probabilities(counts: np.ndarray, n_classes: int) -> np.ndarray:

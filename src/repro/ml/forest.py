@@ -29,10 +29,12 @@ Scale design notes
   results are merged strictly in tree order, so a parallel fit is
   **bit-identical** to the sequential one: same trees, same
   ``predict_proba``, same OOB votes, same importances.
-* **Flat inference.**  A member tree *is* its contiguous node arrays
+* **Arena inference.**  A member tree *is* its contiguous node arrays
   (:mod:`repro.ml.flat`), written by the grower during fit or by the
-  loader; ``predict_proba`` aggregates the vectorised flat traversal
-  per tree, in tree order.
+  loader.  :meth:`_Forest._set_trees` installs the trees together with
+  one :class:`repro.ml.flat.FlatForest` arena of all their nodes, and
+  ``predict_proba``, ``predict`` and ``apply`` walk every tree at once
+  through it, adding leaf rows in tree order.
 * **One engine per task.**  The classifier trains with the histogram
   engine (:mod:`repro.ml.histsplit`) over one binned copy of ``x``
   shared by every member tree; the regressor, which only serves the
@@ -46,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.ml.flat import FlatForest
 from repro.ml.histsplit import BinnedDataset
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.util.parallel import pool_context, resolve_workers
@@ -174,7 +177,45 @@ def _validate_labels(y: np.ndarray) -> int:
     return int(classes.size)
 
 
-class RandomForestClassifier:
+class _Forest:
+    """Fitted state and inference shared by both forests.
+
+    ``trees_`` is read-only: :meth:`_set_trees` is the one way to
+    install member trees, and it builds the arena (``flat_``) from the
+    same trees, so the two never disagree.
+    """
+
+    n_features_: int = 0
+    _trees: tuple = ()
+    flat_: FlatForest | None = None
+
+    @property
+    def trees_(self) -> tuple:
+        """The fitted member trees, in tree order."""
+        return self._trees
+
+    def _set_trees(self, trees: Sequence) -> None:
+        """Install member trees and the inference arena built from them."""
+        self._trees = tuple(trees)
+        with obs.span("forest.arena", trees=len(self._trees)):
+            self.flat_ = FlatForest.from_trees(
+                [tree.flat_ for tree in self._trees]
+            )
+
+    def _matrix(self, x) -> np.ndarray:
+        """``x`` as a float matrix of the fitted width; a 1-D ``x`` is one row."""
+        if self.flat_ is None:
+            raise RuntimeError("forest is not fitted")
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.n_features_:
+            raise ValueError(
+                f"x has shape {x.shape}; the forest was fitted on "
+                f"{self.n_features_} features"
+            )
+        return x
+
+
+class RandomForestClassifier(_Forest):
     """Bootstrap-aggregated CART classifier with feature subsampling.
 
     ``workers`` controls *training* parallelism only (process pool, one
@@ -208,9 +249,7 @@ class RandomForestClassifier:
         self.oob_score = oob_score
         self.seed = int(seed)
         self.workers = workers
-        self.trees_: list[DecisionTreeClassifier] = []
         self.n_classes_: int = 0
-        self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
         self.oob_score_: float | None = None
 
@@ -233,7 +272,6 @@ class RandomForestClassifier:
             raise ValueError("cannot fit on zero samples")
         self.n_features_ = x.shape[1]
         self.n_classes_ = _validate_labels(y)
-        self.trees_ = []
 
         oob_votes = (
             np.zeros((n, self.n_classes_), dtype=float) if self.oob_score else None
@@ -266,8 +304,8 @@ class RandomForestClassifier:
             # Merge strictly in tree order: float accumulation order is
             # part of the bit-identical parallel==sequential contract.
             with obs.span("forest.merge"):
+                self._set_trees([tree for tree, _, _ in results])
                 for tree, oob_rows, oob_probs in results:
-                    self.trees_.append(tree)
                     if tree.feature_importances_ is not None:
                         importances += tree.feature_importances_
                     if oob_votes is not None and oob_rows is not None:
@@ -288,24 +326,16 @@ class RandomForestClassifier:
                 st.set(oob_score=self.oob_score_)
         return self
 
-    def _check_fitted(self) -> None:
-        if not self.trees_:
-            raise RuntimeError("forest is not fitted")
-
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Average of member-tree leaf class frequencies.
 
         Every member tree scores in the forest's class space (pinned at
-        fit, or widened at load for narrower serialised trees), so per-tree
-        outputs add column for column, in tree order.
+        fit, or widened at load for narrower serialised trees), so leaf
+        rows add column for column, in tree order, in one arena walk.
         """
-        self._check_fitted()
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = self._matrix(x)
         with obs.span("forest.predict_proba", rows=x.shape[0]):
-            total = np.zeros((x.shape[0], self.n_classes_), dtype=float)
-            for tree in self.trees_:
-                total += tree.predict_proba(x)
-            return total / len(self.trees_)
+            return self.flat_.predict_value(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Majority (probability-averaged) class per row."""
@@ -313,9 +343,8 @@ class RandomForestClassifier:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Flat-tree leaf id per (row, member tree): shape (n, n_trees)."""
-        self._check_fitted()
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.column_stack([tree.apply(x) for tree in self.trees_])
+        x = self._matrix(x)
+        return self.flat_.apply(x)
 
     @property
     def oob_error_(self) -> float | None:
@@ -323,7 +352,7 @@ class RandomForestClassifier:
         return None if self.oob_score_ is None else 1.0 - self.oob_score_
 
 
-class RandomForestRegressor:
+class RandomForestRegressor(_Forest):
     """Bootstrap-aggregated CART regressor (regression baseline).
 
     ``workers`` parallelises training exactly as in
@@ -347,7 +376,6 @@ class RandomForestRegressor:
         self.max_features = max_features
         self.seed = int(seed)
         self.workers = workers
-        self.trees_: list[DecisionTreeRegressor] = []
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         x = np.asarray(x, dtype=float)
@@ -357,6 +385,7 @@ class RandomForestRegressor:
         n = x.shape[0]
         if n == 0:
             raise ValueError("cannot fit on zero samples")
+        self.n_features_ = x.shape[1]
         ctx = dict(
             kind="regressor",
             x=x,
@@ -369,14 +398,10 @@ class RandomForestRegressor:
             ),
         )
         workers = resolve_workers(self.workers, self.n_estimators)
-        self.trees_ = list(_map_tree_fits(ctx, self.n_estimators, workers))
+        self._set_trees(_map_tree_fits(ctx, self.n_estimators, workers))
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if not self.trees_:
-            raise RuntimeError("forest is not fitted")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        total = np.zeros(x.shape[0], dtype=float)
-        for tree in self.trees_:
-            total += tree.predict(x)
-        return total / len(self.trees_)
+        """Mean of member-tree leaf targets, added in tree order."""
+        x = self._matrix(x)
+        return self.flat_.predict_value(x)[:, 0]

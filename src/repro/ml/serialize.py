@@ -267,7 +267,7 @@ def forest_from_dict(payload: dict[str, Any]) -> RandomForestClassifier:
                 )
     except KeyError as exc:
         raise ValueError(f"serialised forest is missing key {exc}") from None
-    forest.trees_ = [tree_from_dict(t, forest.n_classes_) for t in trees]
+    forest._set_trees([tree_from_dict(t, forest.n_classes_) for t in trees])
     importances = payload.get("feature_importances")
     if importances is not None:
         forest.feature_importances_ = np.asarray(importances, dtype=float)

@@ -1,11 +1,10 @@
 """Micro-batching queue for the ``/estimate`` hot path.
 
-PR 2's forest bench showed why this exists: one flattened
-``predict_proba`` call costs O(trees x depth) *python-level* work no
-matter how many rows ride along -- scoring 32 rows in one call is
-nearly as cheap as scoring 1.  A serving process therefore wants to
-coalesce concurrent in-flight estimate requests into a single
-vectorised call instead of walking the forest once per request.
+Every estimate call carries a fixed per-call cost -- encoding, spans,
+and the forest's arena walk, whose ``O(depth)`` numpy steps cost about
+the same for one row as for a few dozen -- so a serving process wants
+to coalesce concurrent in-flight estimate requests into a single
+vectorised call instead of paying that cost once per request.
 
 :class:`MicroBatcher` implements the standard two-knob policy:
 

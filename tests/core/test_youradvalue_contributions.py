@@ -120,6 +120,33 @@ class TestYourAdValue:
         assert client.check_for_update(newer)
         assert client.model_version == 2
 
+    @pytest.mark.tier1
+    def test_update_estimates_with_the_new_model(self, environment, client):
+        # A newer package with a smaller forest and a doubled time
+        # correction: after the update every encrypted ledger amount is
+        # that package's estimate, not the installed model's.
+        dataset, package, directory = environment
+        forest = dict(package["forest"], trees=package["forest"]["trees"][:3])
+        forest["params"] = dict(forest["params"], n_estimators=3)
+        newer = dict(package, version=2, forest=forest,
+                     time_correction=2 * package["time_correction"])
+        rows = rows_for_user(dataset, busiest_user(dataset))
+
+        assert client.check_for_update(newer)
+        client.observe_many(rows)
+        fresh = YourAdValue(newer, directory)
+        fresh.observe_many(rows)
+        stale = YourAdValue(package, directory)
+        stale.observe_many(rows)
+
+        def amounts(yav):
+            return [e.amount_cpm for e in yav.ledger if e.encrypted]
+
+        assert amounts(client)
+        assert amounts(client) == amounts(fresh)
+        assert amounts(client) != [2 * a for a in amounts(stale)]
+        assert client.estimator.model is client.model
+
     def test_contribution_records_are_anonymous(self, environment, client):
         dataset, _, _ = environment
         user = busiest_user(dataset)

@@ -2,7 +2,7 @@
 
 ``src/`` has one training engine per task and one inference path: the
 classifier grows with the histogram engine (:mod:`repro.ml.histsplit`)
-and every tree scores through :meth:`repro.ml.flat.FlatTree.apply`.
+and a forest scores through one :class:`repro.ml.flat.FlatForest` arena.
 The slower, simpler alternates those replaced live here, where tests and
 benchmarks can hold the production paths against them:
 
@@ -18,7 +18,9 @@ benchmarks can hold the production paths against them:
   pointer chasing and index-partition walks over a fitted tree's node
   columns.  They never call ``FlatTree.apply``, and classifier leaf
   probabilities come from the tree's integer ``leaf_counts_``, not from
-  the production ``value`` rows.
+  the production ``value`` rows.  :func:`forest_proba` is also the
+  per-tree forest loop the whole-forest arena replaced: given the
+  production per-tree ``predict_proba`` it sums one tree at a time.
 """
 
 from __future__ import annotations
@@ -214,6 +216,7 @@ def reference_forest(
     )
     forest.n_classes_ = n_classes
     forest.n_features_ = n_features
+    trees = []
     for t in range(n_estimators):
         rng = np.random.default_rng(derive_seed(seed, f"tree-{t}"))
         idx = rng.integers(0, n, size=n)
@@ -222,9 +225,10 @@ def reference_forest(
             max_depth=max_depth, min_samples_leaf=min_samples_leaf,
             max_features=max_features, rng=rng,
         )
-        forest.trees_.append(tree_from_dict(
+        trees.append(tree_from_dict(
             tree_payload(root, n_classes, n_features, criterion)
         ))
+    forest._set_trees(trees)
     return forest
 
 

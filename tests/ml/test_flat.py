@@ -1,12 +1,22 @@
 """Unit tests for the flat-array tree representation (repro.ml.flat)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.ml.flat import FlatTree
-from repro.ml.serialize import dumps, loads, tree_from_dict, tree_to_dict
+from repro.ml.flat import _BLOCK_ROWS, FlatForest, FlatTree
+from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.ml.serialize import (
+    dumps,
+    forest_from_dict,
+    loads,
+    tree_from_dict,
+    tree_to_dict,
+)
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from tests.ml.reference import (
+    forest_proba,
     leaf_counts,
     leaf_for,
     proba_nodes,
@@ -15,6 +25,9 @@ from tests.ml.reference import (
 )
 
 _FIELDS = ("feature", "threshold", "left", "right", "value")
+
+#: A committed format-2 forest payload (4 trees, 3 classes, 5 features).
+_FOREST_V2 = Path(__file__).parent / "data" / "forest_v2.json"
 
 
 def _data(n=300, seed=0):
@@ -179,3 +192,116 @@ class TestSerializeRoundTrip:
         assert np.array_equal(clone.predict_proba(fresh),
                               tree.predict_proba(fresh))
         assert np.array_equal(clone.apply(fresh), tree.apply(fresh))
+
+
+# -- the whole-forest arena ----------------------------------------------------
+
+def _per_tree(tree, x):
+    """The production per-tree walk, as a ``forest_proba`` tree scorer."""
+    return tree.predict_proba(x)
+
+
+def _queries(n: int, seed: int = 0) -> np.ndarray:
+    return np.random.default_rng(seed).normal(size=(n, 4))
+
+
+@pytest.fixture(scope="module")
+def forest():
+    x, y = _data(600, seed=8)
+    return RandomForestClassifier(n_estimators=12, max_depth=10,
+                                  seed=5).fit(x, y)
+
+
+@pytest.mark.tier1
+class TestForestArena:
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                   _BLOCK_ROWS + 1, 3000])
+    def test_proba_bit_identical_to_per_tree_loop(self, forest, n):
+        x = _queries(n, seed=n)
+        proba = forest.predict_proba(x)
+        assert proba.shape == (n, forest.n_classes_)
+        assert np.array_equal(proba, forest_proba(forest, x, _per_tree))
+        assert np.array_equal(proba, forest_proba(forest, x, proba_per_row))
+
+    def test_all_nan_rows_route_right(self, forest):
+        x = _queries(6, seed=1)
+        x[::2] = np.nan
+        x[1, 2] = np.nan
+        proba = forest.predict_proba(x)
+        assert np.array_equal(proba, forest_proba(forest, x, _per_tree))
+        assert np.array_equal(proba, forest_proba(forest, x, proba_per_row))
+        assert np.array_equal(proba[0], proba[2])
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS + 1])
+    def test_apply_is_per_tree_apply_stacked(self, forest, n):
+        x = _queries(n, seed=3)
+        leaves = forest.apply(x)
+        assert leaves.shape == (n, len(forest.trees_))
+        expected = np.column_stack([tree.apply(x) for tree in forest.trees_])
+        assert leaves.dtype == expected.dtype
+        assert np.array_equal(leaves, expected)
+
+    def test_format1_payload_with_narrower_trees(self):
+        # Every member tree knows one class fewer than the forest; the
+        # arena gathers their leaf rows, widened at load.
+        payload = loads(_FOREST_V2.read_text())
+        v1 = {
+            "format": 1, "kind": payload["kind"],
+            "n_classes": payload["n_classes"] + 1,
+            "n_features": payload["n_features"],
+            "trees": [t | {"format": 1} for t in payload["trees"]],
+        }
+        loaded = forest_from_dict(v1)
+        x = np.random.default_rng(4).normal(size=(_BLOCK_ROWS + 7,
+                                                  payload["n_features"]))
+        x[-1] = np.nan
+        proba = loaded.predict_proba(x)
+        assert proba.shape[1] == payload["n_classes"] + 1
+        assert np.all(proba[:, -1] == 0.0)
+        assert np.array_equal(proba, forest_proba(loaded, x, _per_tree))
+
+    def test_regressor_forest(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-2, 2, size=(300, 3))
+        y = x[:, 0] ** 2 + x[:, 1]
+        regressor = RandomForestRegressor(n_estimators=9, max_depth=7,
+                                          seed=2).fit(x, y)
+        for n in (0, 1, _BLOCK_ROWS + 1):
+            fresh = rng.uniform(-2, 2, size=(n, 3))
+            total = np.zeros(n)
+            for tree in regressor.trees_:
+                total += regressor_predict_nodes(tree, fresh)
+            assert np.array_equal(regressor.predict(fresh),
+                                  total / len(regressor.trees_))
+
+    def test_arena_is_built_with_the_trees(self, forest):
+        arena = forest.flat_
+        assert isinstance(arena, FlatForest)
+        assert arena.n_trees == len(forest.trees_)
+        assert arena.feature.size == sum(t.flat_.n_nodes for t in forest.trees_)
+        for t, tree in enumerate(forest.trees_):
+            root = arena.roots[t]
+            span = slice(root, root + tree.flat_.n_nodes)
+            assert np.array_equal(arena.value[span], tree.flat_.value)
+            internal = tree.flat_.feature >= 0
+            assert np.array_equal(arena.left[span][internal],
+                                  tree.flat_.left[internal] + root)
+        # The trees cannot be swapped out from under the arena.
+        with pytest.raises(AttributeError):
+            forest.trees_ = ()
+        with pytest.raises(AttributeError):
+            forest.trees_.append(forest.trees_[0])
+
+    def test_forest_of_single_leaf_trees(self):
+        # Every root is a leaf, so the walk takes no step at all.
+        single = RandomForestClassifier(n_estimators=3, seed=1).fit(
+            np.zeros((8, 2)), np.zeros(8, dtype=int))
+        x = _queries(5)[:, :2]
+        assert np.array_equal(single.apply(x), np.zeros((5, 3), dtype=np.int64))
+        assert np.array_equal(single.predict_proba(x), np.ones((5, 1)))
+
+    def test_single_row_bit_identical_across_rows(self, forest):
+        x = _queries(200, seed=9)
+        batched = forest.predict_proba(x)
+        for i in range(0, 200, 7):
+            assert np.array_equal(forest.predict_proba(x[i]), batched[i:i + 1])

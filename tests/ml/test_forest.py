@@ -242,3 +242,30 @@ class TestForestRegressor:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             RandomForestRegressor().predict(np.zeros((1, 2)))
+
+
+class TestInputWidth:
+    """Inference refuses a matrix that is not ``n_features_`` wide."""
+
+    @pytest.fixture(scope="class")
+    def forests(self):
+        x, y = _data(200)
+        return (
+            RandomForestClassifier(n_estimators=3, seed=1).fit(x, y),
+            RandomForestRegressor(n_estimators=3, seed=1).fit(x, y.astype(float)),
+        )
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_wrong_width_raises(self, forests, width):
+        classifier, regressor = forests
+        x = np.zeros((3, width))
+        for method in (classifier.predict_proba, classifier.predict,
+                       classifier.apply, regressor.predict):
+            with pytest.raises(ValueError, match="5 features"):
+                method(x)
+
+    def test_right_width_and_single_row_accepted(self, forests):
+        classifier, regressor = forests
+        assert classifier.predict_proba(np.zeros((3, 5))).shape[0] == 3
+        assert classifier.apply(np.zeros(5)).shape == (1, 3)
+        assert regressor.predict(np.zeros(5)).shape == (1,)
