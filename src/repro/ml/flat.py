@@ -157,7 +157,9 @@ class FlatForest:
     Tree ``t``'s nodes occupy ids ``roots[t]`` up to (not including)
     ``roots[t + 1]``; child ids are offset by the same amount, so one
     walk can follow any tree.  Built once per fit or load, from the
-    trees' :class:`FlatTree` arrays, and never mutated.
+    trees' :class:`FlatTree` arrays, and never mutated; the owning
+    forest then points each tree's ``feature``, ``threshold`` and
+    ``value`` at its slice, so those columns are stored once.
     """
 
     feature: np.ndarray      # (n_nodes,) int32, -1 at leaves

@@ -198,9 +198,17 @@ class _Forest:
         """Install member trees and the inference arena built from them."""
         self._trees = tuple(trees)
         with obs.span("forest.arena", trees=len(self._trees)):
-            self.flat_ = FlatForest.from_trees(
+            self.flat_ = arena = FlatForest.from_trees(
                 [tree.flat_ for tree in self._trees]
             )
+            # Each tree keeps its own child ids but reads its other
+            # columns from the arena, so a model holds them once.
+            for tree, root in zip(self._trees, arena.roots):
+                flat = tree.flat_
+                span = slice(root, root + flat.n_nodes)
+                flat.feature = arena.feature[span]
+                flat.threshold = arena.threshold[span]
+                flat.value = arena.value[span]
 
     def _matrix(self, x) -> np.ndarray:
         """``x`` as a float matrix of the fitted width; a 1-D ``x`` is one row."""

@@ -286,6 +286,10 @@ class TestForestArena:
             internal = tree.flat_.feature >= 0
             assert np.array_equal(arena.left[span][internal],
                                   tree.flat_.left[internal] + root)
+            # The tree's other columns are views into the arena.
+            for field in ("feature", "threshold", "value"):
+                assert np.shares_memory(getattr(tree.flat_, field),
+                                        getattr(arena, field))
         # The trees cannot be swapped out from under the arena.
         with pytest.raises(AttributeError):
             forest.trees_ = ()
