@@ -104,8 +104,14 @@ def measure_analyzer(dataset, directory, repeats: int = REPEATS) -> dict:
     rows = list(dataset.rows)
     analyzer = WeblogAnalyzer(directory)
     assert obs.active_trace() is None and not obs.profiling_enabled()
-    instrumented = _best_of(lambda: analyzer.analyze(rows), repeats)
-    stripped = _best_of(lambda: _analyzer_stripped(analyzer, rows), repeats)
+    # Timed in alternation with three times the samples, as the forest
+    # path is: sequential best-of runs let a drift in the shared box's
+    # speed land on one side and swing the ratio by tens of percent.
+    instrumented, stripped = _best_of_interleaved(
+        lambda: analyzer.analyze(rows),
+        lambda: _analyzer_stripped(analyzer, rows),
+        3 * repeats,
+    )
     return {
         "path": "analyzer.analyze",
         "rows": len(rows),

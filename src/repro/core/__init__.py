@@ -15,6 +15,7 @@ from repro.core.campaigns import (
     ProbeImpression,
     ProbeSetup,
     RecordingDsp,
+    ReportRow,
     build_probe_setups,
     run_campaign_a1,
     run_campaign_a2,
@@ -85,6 +86,7 @@ __all__ = [
     "ProbeImpression",
     "CampaignResult",
     "RecordingDsp",
+    "ReportRow",
     "build_probe_setups",
     "run_probe_campaign",
     "run_campaign_a1",

@@ -238,7 +238,9 @@ def forest_from_dict(payload: dict[str, Any]) -> RandomForestClassifier:
     straight into the forest's class space, so a narrower tree (a
     version-1 tree whose bootstrap missed the top labels) scores with
     zero probability at the labels it never saw.  A payload with no
-    trees, or with any malformed tree, raises :class:`ValueError`.
+    trees, with any malformed tree, or (version 2+) whose
+    ``params.n_estimators`` differs from its tree count raises
+    :class:`ValueError`.
     """
     if payload.get("kind") != "random_forest_classifier":
         raise ValueError(f"not a serialised forest: kind={payload.get('kind')!r}")
@@ -255,6 +257,11 @@ def forest_from_dict(payload: dict[str, Any]) -> RandomForestClassifier:
                     f"unknown forest params in payload: {sorted(unknown)}"
                 )
             forest = RandomForestClassifier(**params)
+            if forest.n_estimators != len(trees):
+                raise ValueError(
+                    f"forest payload declares n_estimators="
+                    f"{forest.n_estimators} but carries {len(trees)} trees"
+                )
         else:
             forest = RandomForestClassifier(n_estimators=len(trees))
         forest.n_classes_ = int(payload["n_classes"])

@@ -9,7 +9,12 @@ as the cheapest.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
+
+from repro.util.rng import WeightedDraw
 
 #: Tier-1 IAB categories, code -> human name.
 IAB_CATEGORIES: dict[str, str] = {
@@ -108,6 +113,17 @@ class InterestProfile:
     def dominant(self) -> str | None:
         """Highest-weight category, or None for an empty profile."""
         return self.weights[0][0] if self.weights else None
+
+    @functools.cached_property
+    def category_draw(self) -> tuple[list[str], WeightedDraw]:
+        """The codes and a draw of one code by weight, built on first use.
+
+        It lives and dies with the profile, so a short-lived profile (a
+        probe audience member) frees its draw with it.
+        """
+        codes = [c for c, _ in self.weights]
+        probs = np.array([w for _, w in self.weights])
+        return codes, WeightedDraw(probs / probs.sum())
 
     def weight(self, code: str) -> float:
         """Weight of one category (0 when absent)."""

@@ -4,9 +4,8 @@ The paper (footnote 5) confirms that the time-of-day and day-of-week
 price distributions, though visually similar, are statistically
 different using non-parametric two-sample KS tests at p < 0.0002 and
 p < 0.002.  We implement the two-sample KS statistic and its asymptotic
-p-value directly (scipy is available, but the statistic is small enough
-to own, and owning it lets the test suite property-check it against
-scipy).
+p-value directly: the statistic is small enough to own, the runtime
+needs only numpy, and the test suite property-checks it against scipy.
 """
 
 from __future__ import annotations

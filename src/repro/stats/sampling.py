@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 from repro.util.validation import require_in_unit_interval, require_positive
 
@@ -30,7 +29,7 @@ def z_score(confidence: float) -> float:
     """
     require_in_unit_interval(confidence, "confidence")
     alpha = 1.0 - confidence
-    return float(norm.ppf(1.0 - alpha / 2.0))
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
 def margin_of_error(std: float, n: int, confidence: float = 0.95) -> float:

@@ -91,15 +91,14 @@ class PublisherChooser:
     """Chooses which publisher a user visits, given interests and kind.
 
     Precomputes per-(category, kind) publisher lists and popularity
-    draws once, and each interest profile's category draw on first use,
-    then draws in O(log n) per pageview.
+    draws once; each interest profile builds its own category draw on
+    first use (:attr:`InterestProfile.category_draw`).  Draws take
+    O(log n) per pageview.
     """
 
     def __init__(self, universe: MarketUniverse):
         self._by_key: dict[tuple[str, bool], tuple[list[Publisher], WeightedDraw]] = {}
         self._all: dict[bool, tuple[list[Publisher], WeightedDraw]] = {}
-        self._interests: dict[tuple[tuple[str, float], ...],
-                              tuple[list[str], WeightedDraw]] = {}
         for is_app in (False, True):
             pubs = list(universe.app_publishers if is_app else universe.web_publishers)
             pops = np.array([p.popularity for p in pubs])
@@ -112,16 +111,6 @@ class PublisherChooser:
                     group, WeightedDraw(weights / weights.sum())
                 )
 
-    def _interest_draw(
-        self, weights: tuple[tuple[str, float], ...]
-    ) -> tuple[list[str], WeightedDraw]:
-        entry = self._interests.get(weights)
-        if entry is None:
-            codes = [c for c, _ in weights]
-            probs = np.array([w for _, w in weights])
-            entry = self._interests[weights] = (codes, WeightedDraw(probs / probs.sum()))
-        return entry
-
     def choose(
         self,
         rng: np.random.Generator,
@@ -129,9 +118,9 @@ class PublisherChooser:
         is_app: bool,
     ) -> Publisher:
         """Draw the next publisher this user visits."""
-        interests = user.interests.weights
-        if interests and rng.random() < INTEREST_LOYALTY:
-            codes, draw = self._interest_draw(interests)
+        interests = user.interests
+        if interests.weights and rng.random() < INTEREST_LOYALTY:
+            codes, draw = interests.category_draw
             entry = self._by_key.get((codes[draw(rng)], is_app))
             if entry is not None:
                 pubs, draw = entry

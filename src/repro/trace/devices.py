@@ -11,6 +11,7 @@ keys on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ class DeviceProfile:
     model: str
     os_version: str
 
+    # Keyed by the device's fields (a frozen dataclass hashes by value),
+    # so equal devices share one string: a weblog row holds a reference,
+    # not its own copy.  ~130 device configurations exist.
+    @functools.lru_cache(maxsize=512)
     def user_agent(self, is_app: bool) -> str:
         """UA string this device sends for app or mobile-web traffic."""
         if self.os == "Android":

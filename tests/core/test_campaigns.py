@@ -5,18 +5,23 @@ import pytest
 
 from repro.core.campaigns import (
     PROBE_DSP_NAME,
+    ProbeImpression,
+    ReportRow,
     build_probe_setups,
     run_campaign_a1,
     run_campaign_a2,
 )
-from repro.rtb.adslots import CAMPAIGN_PHONE_SIZES, CAMPAIGN_TABLET_SIZES
+from repro.rtb.adslots import CAMPAIGN_PHONE_SIZES, CAMPAIGN_TABLET_SIZES, AdSlotSize
 from repro.rtb.entities import ENCRYPTING_ADXS
+from repro.rtb.openrtb import BidRequest, Device, Geo, Impression, UserInfo
 from repro.trace.geography import CAMPAIGN_CITIES
 from repro.trace.simulate import build_market, small_config
 from repro.util.rng import RngRegistry
 from repro.util.timeutil import (
     CAMPAIGN_A1_PERIOD,
     CAMPAIGN_A2_PERIOD,
+    day_of_week,
+    epoch,
     hour_of,
     is_weekend,
 )
@@ -77,25 +82,25 @@ class TestCampaignExecution:
         setups = {s.setup_id: s for s in a1.setups}
         for imp in a1.impressions:
             setup = setups[imp.setup_id]
-            req = imp.request
-            assert req.geo.city == setup.city
-            assert req.context == setup.context
-            assert req.device.os == setup.os
-            assert req.device.device_type == setup.device_type
-            assert req.imp.slot_size.label == setup.slot_size
-            assert req.adx == setup.adx
-            assert is_weekend(req.timestamp) == (setup.day_type == "weekend")
+            row = imp.report
+            assert row.city == setup.city
+            assert row.context == setup.context
+            assert row.os == setup.os
+            assert row.device_type == setup.device_type
+            assert row.slot_size == setup.slot_size
+            assert row.adx == setup.adx
+            assert is_weekend(row.timestamp) == (setup.day_type == "weekend")
 
     def test_timestamps_inside_campaign_window(self, a1, a2):
         for imp in a1.impressions:
-            assert CAMPAIGN_A1_PERIOD.contains(imp.request.timestamp)
+            assert CAMPAIGN_A1_PERIOD.contains(imp.report.timestamp)
         for imp in a2.impressions:
-            assert CAMPAIGN_A2_PERIOD.contains(imp.request.timestamp)
+            assert CAMPAIGN_A2_PERIOD.contains(imp.report.timestamp)
 
     def test_daypart_respected(self, a1):
         setups = {s.setup_id: s for s in a1.setups}
         for imp in a1.impressions:
-            hour = hour_of(imp.request.timestamp)
+            hour = hour_of(imp.report.timestamp)
             daypart = setups[imp.setup_id].daypart
             if daypart == "12am-9am":
                 assert hour < 9
@@ -112,6 +117,14 @@ class TestCampaignExecution:
         """Section 6.1: A1 medians exceed A2 medians (~1.7x)."""
         ratio = float(np.median(a1.prices()) / np.median(a2.prices()))
         assert 1.2 < ratio < 2.4
+
+    def test_impressions_keep_compact_rows(self, a1):
+        """An impression keeps its report row, not the bid request."""
+        for imp in a1.impressions[:20]:
+            assert not hasattr(imp, "__dict__")
+            assert not hasattr(imp.report, "__dict__")
+            assert imp.report.campaign_id == f"A1-{imp.setup_id}"
+            assert imp.charge_price_cpm == imp.report.charge_price_cpm
 
     def test_feature_rows_schema(self, a1):
         row = a1.feature_rows()[0]
@@ -145,3 +158,49 @@ class TestCampaignExecution:
         counts = a1.impressions_per_setup()
         assert sum(counts.values()) == len(a1.impressions)
         assert len(counts) == 144
+
+
+class TestReportRow:
+    def _request(self):
+        return BidRequest(
+            auction_id="A1-00000001",
+            timestamp=epoch(2016, 5, 14, 19) + 125.5,
+            imp=Impression(
+                impression_id="A1-00000001-i0", slot_size=AdSlotSize(320, 50)
+            ),
+            publisher="news.example.es",
+            publisher_iab="IAB12",
+            device=Device(os="iOS", device_type="smartphone"),
+            geo=Geo(country="ES", city="Madrid"),
+            user=UserInfo(exchange_uid="u1"),
+            is_app=True,
+            adx="MoPub",
+        )
+
+    def test_feature_row_matches_the_request(self):
+        req = self._request()
+        row = ReportRow("A1-setup-000", 1.25, True, req)
+        assert ProbeImpression("setup-000", row).feature_row() == {
+            "context": req.context,
+            "device_type": req.device.device_type,
+            "city": req.geo.city,
+            "time_of_day": hour_of(req.timestamp) // 4,
+            "day_of_week": day_of_week(req.timestamp),
+            "slot_size": req.imp.slot_size.label,
+            "publisher_iab": req.publisher_iab,
+            "adx": req.adx,
+            "os": req.device.os,
+            "publisher": req.publisher,
+        }
+        assert (row.campaign_id, row.charge_price_cpm, row.encrypted_channel) == (
+            "A1-setup-000", 1.25, True
+        )
+        assert row.timestamp == req.timestamp
+
+    def test_row_shares_the_request_strings(self):
+        req = self._request()
+        row = ReportRow("A1-setup-000", 1.25, False, req)
+        assert row.publisher is req.publisher
+        assert row.city is req.geo.city
+        assert row.os is req.device.os
+        assert row.slot_size is ReportRow("x", 1.0, False, req).slot_size

@@ -1,6 +1,10 @@
 """Public-API integrity: every exported name must resolve and be real."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +52,27 @@ def test_package_version():
     import repro
 
     assert repro.__version__ == "1.0.0"
+
+
+@pytest.mark.tier1
+def test_runtime_imports_leave_scipy_out():
+    """The runtime needs only numpy: importing the package, the CLI and the
+    service must load no scipy module (``scipy.stats`` alone is ~70 MB RSS).
+    Run in a fresh interpreter, since this test process may have loaded
+    scipy for its oracles."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, repro, repro.cli, repro.serve\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]", out.stdout

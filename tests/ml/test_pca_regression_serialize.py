@@ -294,6 +294,17 @@ class TestMalformedPayloads:
         with pytest.raises(ValueError, match="tree"):
             forest_from_dict(payload)
 
+    @pytest.mark.parametrize("source", ["v3", "v2"])
+    def test_tree_count_must_match_n_estimators(self, source):
+        """A truncated payload would otherwise load with its old
+        ``n_estimators``, and a refit from the loaded params would build
+        a different forest than the one shipped."""
+        payload = _forest_payload() if source == "v3" else _fixture_v2()
+        assert payload["params"]["n_estimators"] == len(payload["trees"])
+        payload["trees"] = payload["trees"][:1]
+        with pytest.raises(ValueError, match="n_estimators"):
+            forest_from_dict(payload)
+
     def test_v2_node_without_left_rejected(self):
         payload = _fixture_v2()
         del payload["trees"][0]["root"]["left"]

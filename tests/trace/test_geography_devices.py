@@ -128,3 +128,11 @@ class TestUserAgents:
     def test_windows_ua(self):
         device = DeviceProfile("Windows Mobile", "smartphone", "Lumia 640", "8.1")
         assert "Windows Phone" in device.user_agent(is_app=False)
+
+    def test_equal_devices_share_one_string(self):
+        """Weblog rows of a device hold one UA object per context."""
+        a = DeviceProfile("Android", "smartphone", "SM-G920F", "5.1.1")
+        b = DeviceProfile("Android", "smartphone", "SM-G920F", "5.1.1")
+        assert a.user_agent(is_app=True) is b.user_agent(is_app=True)
+        assert a.user_agent(is_app=False) is b.user_agent(is_app=False)
+        assert a.user_agent(is_app=True) != a.user_agent(is_app=False)

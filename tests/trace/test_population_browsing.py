@@ -66,6 +66,18 @@ class TestInterests:
         assert weights[profile.dominant] == max(weights.values())
 
 
+    def test_category_draw_matches_choice_and_is_kept(self):
+        profile = sample_interests(stream("ints3"))
+        codes, draw = profile.category_draw
+        assert codes == [c for c, _ in profile.weights]
+        assert profile.category_draw[1] is draw
+        probs = np.array([w for _, w in profile.weights])
+        ours, theirs = stream("draw"), stream("draw")
+        for _ in range(200):
+            expected = int(theirs.choice(len(probs), p=probs / probs.sum()))
+            assert draw(ours) == expected
+
+
 class TestEventTimes:
     PERIOD = Period.for_year(2015)
 
