@@ -30,7 +30,9 @@ Entry points::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -54,6 +56,9 @@ OVERHEAD_BUDGET = 0.03
 #: Repeats for best-of timing (resists noisy-neighbour skew).
 REPEATS = 5
 
+#: Back-to-back call pairs timed on the forest path.
+FOREST_PAIRS = 400
+
 
 def _best_of(fn, repeats: int = REPEATS) -> float:
     best = float("inf")
@@ -68,11 +73,14 @@ def _best_of_interleaved(first, second, repeats: int) -> tuple[float, float]:
     """Best-of-``repeats`` seconds of two calls timed in alternation.
 
     Alternating keeps a drift in the shared box's speed from landing on
-    one side only.
+    one side only; a collection before each call starts every call from
+    the same garbage-collector state, so a full collection cannot fall
+    into one side's calls run after run.
     """
     best = [float("inf"), float("inf")]
     for _ in range(max(1, repeats)):
         for i, fn in enumerate((first, second)):
+            gc.collect()
             start = time.perf_counter()
             fn()
             best[i] = min(best[i], time.perf_counter() - start)
@@ -84,6 +92,27 @@ def _overhead(instrumented_s: float, stripped_s: float) -> float:
     if stripped_s <= 0:
         return 0.0
     return instrumented_s / stripped_s - 1.0
+
+
+def _paired_overhead(instrumented, stripped, pairs: int) -> tuple[float, float, float]:
+    """Median per-call seconds of both paths and the median of their
+    paired ratios, minus one.
+
+    Each pair times one call of each path back to back, swapping which
+    goes first every pair, so both calls of a pair see the same state
+    of the shared box and neither always runs first.
+    """
+    clock = time.perf_counter
+    fns = (instrumented, stripped)
+    times: tuple[list[float], list[float]] = ([], [])
+    for i in range(max(1, pairs)):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            start = clock()
+            fns[side]()
+            times[side].append(clock() - start)
+    ratios = [a / b for a, b in zip(*times)]
+    return (statistics.median(times[0]), statistics.median(times[1]),
+            statistics.median(ratios) - 1.0)
 
 
 # -- analyzer path -----------------------------------------------------------
@@ -104,9 +133,9 @@ def measure_analyzer(dataset, directory, repeats: int = REPEATS) -> dict:
     rows = list(dataset.rows)
     analyzer = WeblogAnalyzer(directory)
     assert obs.active_trace() is None and not obs.profiling_enabled()
-    # Timed in alternation with three times the samples, as the forest
-    # path is: sequential best-of runs let a drift in the shared box's
-    # speed land on one side and swing the ratio by tens of percent.
+    # Timed in alternation with three times the samples: sequential
+    # best-of runs let a drift in the shared box's speed land on one
+    # side and swing the ratio by tens of percent.
     instrumented, stripped = _best_of_interleaved(
         lambda: analyzer.analyze(rows),
         lambda: _analyzer_stripped(analyzer, rows),
@@ -128,7 +157,7 @@ def _forest_stripped(forest: RandomForestClassifier, x) -> np.ndarray:
     return forest.flat_.predict_value(x)
 
 
-def measure_forest(repeats: int = REPEATS) -> dict:
+def measure_forest(pairs: int = FOREST_PAIRS) -> dict:
     rng = np.random.default_rng(7)
     x = rng.normal(size=(1200, 8))
     y = (x[:, 0] + x[:, 1] > 0).astype(int) + (x[:, 2] > 0.5).astype(int)
@@ -137,12 +166,14 @@ def measure_forest(repeats: int = REPEATS) -> dict:
     ).fit(x, y)
     x_pred = np.atleast_2d(np.asarray(rng.normal(size=(2000, 8)), dtype=float))
     assert obs.active_trace() is None and not obs.profiling_enabled()
-    # One call takes ~15 ms, so the walk's allocation noise is a few
-    # percent of it: three times the samples, taken in alternation.
-    instrumented, stripped = _best_of_interleaved(
+    # One call takes ~15 ms.  Best-of over samples of one call, and
+    # over samples of ~45 calls each, both swung by several percent
+    # between runs on a shared box; the median of back-to-back paired
+    # ratios stays within a fraction of a percent.
+    instrumented, stripped, overhead = _paired_overhead(
         lambda: forest.predict_proba(x_pred),
         lambda: _forest_stripped(forest, x_pred),
-        3 * repeats,
+        pairs,
     )
     assert np.array_equal(
         forest.predict_proba(x_pred), _forest_stripped(forest, x_pred)
@@ -151,9 +182,10 @@ def measure_forest(repeats: int = REPEATS) -> dict:
         "path": "forest.predict_proba",
         "rows": int(x_pred.shape[0]),
         "trees": forest.n_estimators,
+        "pairs": pairs,
         "instrumented_s": round(instrumented, 5),
         "stripped_s": round(stripped, 5),
-        "overhead": round(_overhead(instrumented, stripped), 5),
+        "overhead": round(overhead, 5),
     }
 
 
@@ -184,7 +216,7 @@ def measure_span_call(n: int = 200_000) -> dict:
 def run_all(dataset, directory, repeats: int = REPEATS) -> dict:
     runs = [
         measure_analyzer(dataset, directory, repeats),
-        measure_forest(repeats),
+        measure_forest(),
         measure_span_call(),
     ]
     worst = max(r["overhead"] for r in runs if "overhead" in r)

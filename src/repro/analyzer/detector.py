@@ -12,16 +12,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-from urllib.parse import parse_qsl, urlparse
+from urllib.parse import urlsplit
 
 from repro.analyzer.blacklist import GROUP_ADVERTISING, DomainBlacklist
-from repro.rtb.nurl import ParsedNotification, parse_nurl
+from repro.rtb.nurl import ParsedNotification, parse_nurl, split_query
 from repro.trace.weblog import HttpRequest
 
 
 def count_url_params(url: str) -> int:
     """Number of query parameters in a URL (a Table-4 ad feature)."""
-    return len(parse_qsl(urlparse(url).query, keep_blank_values=True))
+    return len(split_query(urlsplit(url).query))
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class DetectedNotification:
     @property
     def n_url_params(self) -> int:
         """Number of query parameters (a Table-4 ad feature)."""
-        return count_url_params(self.row.url)
+        return self.parsed.n_params
 
 
 def detect_notifications(

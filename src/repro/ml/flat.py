@@ -247,16 +247,21 @@ class FlatForest:
         Leaf rows are added in tree order, then divided by the tree
         count -- the same float operations, in the same order, as
         summing per-tree outputs one tree at a time, so the result is
-        bit-identical to that.  (``sum(axis=...)`` would sum pairwise
-        and change the bits.)
+        bit-identical to that.  When a block holds two or more values
+        per tree, ``np.add.reduce`` over the tree axis adds whole
+        ``(rows, outputs)`` slabs one tree after another, in one call.
+        With one value per tree (one row of a single-output forest) the
+        tree axis is the only axis left and numpy would sum it
+        pairwise, so that case takes the sequential running sum.
         """
         n_trees = self.n_trees
         out = np.empty((x.shape[0], self.value.shape[1]), dtype=np.float64)
         for rows, leaves in self._blocks(x):
             leaf_rows = self.value[leaves]       # (trees, rows, outputs)
-            total = np.zeros(leaf_rows.shape[1:], dtype=np.float64)
-            for t in range(n_trees):
-                total += leaf_rows[t]
+            if leaf_rows[0].size > 1:
+                total = np.add.reduce(leaf_rows, axis=0)
+            else:
+                total = np.add.accumulate(leaf_rows, axis=0)[-1]
             out[rows] = total / n_trees
         return out
 

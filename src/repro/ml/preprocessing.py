@@ -247,8 +247,9 @@ class FrameEncoder:
         if not feature_names:
             raise ValueError("feature_names must not be empty")
         self.feature_names = list(feature_names)
-        self._numeric_mask: list[bool] | None = None
-        self._encoder: OrdinalEncoder | None = None
+        #: ``(name, category codes)`` per column, ``None`` codes for a
+        #: numeric column; ``None`` until fitted.
+        self._schema: list[tuple[str, dict[Hashable, int] | None]] | None = None
 
     @staticmethod
     def _is_numeric(value: Hashable) -> bool:
@@ -256,51 +257,59 @@ class FrameEncoder:
             value, bool
         )
 
-    def _columns(self, rows: Sequence[Mapping[str, Hashable]]) -> list[list[Hashable]]:
-        return [[row.get(name) for row in rows] for name in self.feature_names]
-
     def fit(self, rows: Sequence[Mapping[str, Hashable]]) -> "FrameEncoder":
         if not rows:
             raise ValueError("cannot fit an encoder on zero rows")
-        columns = self._columns(rows)
-        self._numeric_mask = [all(self._is_numeric(v) for v in col) for col in columns]
-        categorical = [c for c, num in zip(columns, self._numeric_mask) if not num]
-        self._encoder = OrdinalEncoder().fit(categorical)
+        columns = [[row.get(name) for row in rows] for name in self.feature_names]
+        numeric_mask = [all(self._is_numeric(v) for v in col) for col in columns]
+        categorical = [c for c, num in zip(columns, numeric_mask) if not num]
+        self._set_schema(numeric_mask, OrdinalEncoder().fit(categorical).categories_)
         return self
 
+    def _set_schema(
+        self, numeric_mask: list[bool], tables: list[dict[Hashable, int]]
+    ) -> None:
+        if (len(numeric_mask) != len(self.feature_names)
+                or numeric_mask.count(False) != len(tables)):
+            raise ValueError(
+                f"{len(self.feature_names)} features need as many type flags "
+                "and one category table per categorical flag; got "
+                f"{len(numeric_mask)} flags and {len(tables)} tables"
+            )
+        codes = iter(tables)
+        self._schema = [
+            (name, None if numeric else next(codes))
+            for name, numeric in zip(self.feature_names, numeric_mask)
+        ]
+
     def transform(self, rows: Sequence[Mapping[str, Hashable]]) -> np.ndarray:
-        if self._numeric_mask is None or self._encoder is None:
+        if self._schema is None:
             raise RuntimeError("FrameEncoder must be fitted before transform")
-        columns = self._columns(rows)
-        categorical = [c for c, num in zip(columns, self._numeric_mask) if not num]
-        encoded = (
-            self._encoder.transform(categorical)
-            if categorical
-            else np.empty((len(rows), 0))
-        )
-        out = np.empty((len(rows), len(self.feature_names)), dtype=float)
-        cat_j = 0
-        for j, (col, is_numeric) in enumerate(zip(columns, self._numeric_mask)):
-            if is_numeric:
-                out[:, j] = [float(v) if v is not None else -1.0 for v in col]
-            else:
-                out[:, j] = encoded[:, cat_j]
-                cat_j += 1
-        return out
+        columns = [
+            [-1.0 if (v := row.get(name)) is None else float(v) for row in rows]
+            if codes is None
+            else [codes.get(row.get(name), -1) for row in rows]
+            for name, codes in self._schema
+        ]
+        # One conversion of the column lists, then a row-major copy (none
+        # at one row): the matrix keeps the C order it always had, which
+        # reductions over its rows depend on bit for bit.
+        return np.ascontiguousarray(np.array(columns, dtype=float).T)
 
     def fit_transform(self, rows: Sequence[Mapping[str, Hashable]]) -> np.ndarray:
         return self.fit(rows).transform(rows)
 
     def to_dict(self) -> dict:
         """JSON-compatible form (for shipping fitted encoders to clients)."""
-        if self._numeric_mask is None or self._encoder is None:
+        if self._schema is None:
             raise RuntimeError("FrameEncoder must be fitted before to_dict")
         return {
             "feature_names": list(self.feature_names),
-            "numeric_mask": list(self._numeric_mask),
+            "numeric_mask": [codes is None for _, codes in self._schema],
             "vocabulary": [
-                {str(k): v for k, v in mapping.items()}
-                for mapping in self._encoder.categories_
+                {str(k): v for k, v in codes.items()}
+                for _, codes in self._schema
+                if codes is not None
             ],
         }
 
@@ -312,10 +321,8 @@ class FrameEncoder:
         categorical values used throughout the analyzer.
         """
         encoder = cls(list(payload["feature_names"]))
-        encoder._numeric_mask = [bool(b) for b in payload["numeric_mask"]]
-        ordinal = OrdinalEncoder()
-        ordinal.categories_ = [
-            {k: int(v) for k, v in vocab.items()} for vocab in payload["vocabulary"]
-        ]
-        encoder._encoder = ordinal
+        encoder._set_schema(
+            [bool(b) for b in payload["numeric_mask"]],
+            [{k: int(v) for k, v in vocab.items()} for vocab in payload["vocabulary"]],
+        )
         return encoder

@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
-from urllib.parse import parse_qsl, quote, urlparse
+from urllib.parse import parse_qsl, quote, urlsplit
 
 from repro.rtb.pricecrypto import looks_like_encrypted_price
 
@@ -272,6 +272,8 @@ class ParsedNotification:
     dsp: str | None
     cleartext_price_cpm: float | None
     encrypted_token: str | None
+    #: Query fields, repeated names included (a Table-4 ad feature).
+    n_params: int
     params: Mapping[str, str] = field(default_factory=dict)
 
     @property
@@ -293,6 +295,20 @@ class ParsedNotification:
         return None
 
 
+def split_query(query: str) -> list[tuple[str, str]]:
+    """``parse_qsl(query, keep_blank_values=True)``, without urllib when
+    nothing needs unescaping.
+
+    With no ``%`` and no ``+`` in the query, unquoting is the identity,
+    so splitting on ``&``, skipping empty fields and cutting each at its
+    first ``=`` gives the same pairs; any other query goes to
+    ``parse_qsl``.  The simulator's nURLs hold neither character.
+    """
+    if "%" in query or "+" in query:
+        return parse_qsl(query, keep_blank_values=True)
+    return [item.partition("=")[::2] for item in query.split("&") if item]
+
+
 def parse_nurl(url: str) -> ParsedNotification | None:
     """Observer-side nURL parser.
 
@@ -301,13 +317,14 @@ def parse_nurl(url: str) -> ParsedNotification | None:
     parameters).  Bid-price parameters are explicitly ignored.
     """
     try:
-        parsed = urlparse(url)
+        parsed = urlsplit(url)
     except ValueError:
         return None
     adx = HOST_TO_ADX.get(parsed.netloc)
     if adx is None:
         return None
-    params = dict(parse_qsl(parsed.query, keep_blank_values=True))
+    pairs = split_query(parsed.query)
+    params = dict(pairs)
 
     price_value: str | None = None
     for macro in CHARGE_PRICE_PARAMS:
@@ -338,5 +355,6 @@ def parse_nurl(url: str) -> ParsedNotification | None:
         dsp=params.get("bidder_name"),
         cleartext_price_cpm=cleartext,
         encrypted_token=encrypted,
+        n_params=len(pairs),
         params=params,
     )

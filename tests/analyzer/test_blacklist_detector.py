@@ -1,5 +1,7 @@
 """Tests for domain classification and nURL detection."""
 
+from urllib.parse import parse_qsl, urlparse
+
 import pytest
 
 from repro.analyzer.blacklist import (
@@ -121,6 +123,14 @@ class TestDetector:
     def test_count_url_params_free_function(self):
         assert count_url_params("http://x.test/p?a=1&b=&c=3") == 3
         assert count_url_params("http://x.test/p") == 0
+
+    @pytest.mark.parametrize("url", [
+        "http://x.test/p?a=1&&b==2&c#d=4", "http://x.test/p;q?a%3D1&b+c",
+        "http://x.test/p?a=1&a=2&=&x", "http://x.test/?caf\u00e9=%E2%82%AC",
+    ])
+    def test_count_url_params_matches_urllib(self, url):
+        assert count_url_params(url) == len(
+            parse_qsl(urlparse(url).query, keep_blank_values=True))
 
     def test_classify_rows_histogram(self):
         rows = [

@@ -5,6 +5,8 @@ everything the analyzer reports is derived from HTTP rows alone, yet it
 must agree with the simulator's private ground truth.
 """
 
+from urllib.parse import parse_qsl, urlparse
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,16 @@ def analysis(dataset):
 class TestDetectionCompleteness:
     def test_every_impression_detected(self, dataset, analysis):
         assert len(analysis.observations) == dataset.n_impressions
+
+    def test_n_url_params_counts_every_query_field(self, analysis):
+        # The count comes from the nURL's one parse; it must equal
+        # urllib's count of the same URL.
+        assert analysis.observations
+        for det, ob in zip(analysis.notifications, analysis.observations,
+                           strict=True):
+            url = det.row.url
+            assert ob.n_url_params == len(
+                parse_qsl(urlparse(url).query, keep_blank_values=True))
 
     def test_encrypted_flags_match_truth(self, dataset, analysis):
         truth = sorted(

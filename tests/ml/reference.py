@@ -20,7 +20,11 @@ benchmarks can hold the production paths against them:
   probabilities come from the tree's integer ``leaf_counts_``, not from
   the production ``value`` rows.  :func:`forest_proba` is also the
   per-tree forest loop the whole-forest arena replaced: given the
-  production per-tree ``predict_proba`` it sums one tree at a time.
+  production per-tree ``predict_proba`` it sums one tree at a time;
+* :func:`frame_encoder_transform` -- ``FrameEncoder.transform`` as it
+  was before it built its matrix in one call: column lists, an
+  ``OrdinalEncoder`` matrix of the categorical columns, then one slice
+  assignment per column.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.forest import RandomForestClassifier
+from repro.ml.preprocessing import FrameEncoder, OrdinalEncoder
 from repro.ml.serialize import tree_from_dict
 from repro.ml.tree import DecisionTreeClassifier, _entropy, _gini
 from repro.util.rng import derive_seed
@@ -321,3 +326,26 @@ def forest_proba(forest: RandomForestClassifier, x: np.ndarray,
     for tree in forest.trees_:
         total += tree_proba(tree, x)
     return total / len(forest.trees_)
+
+
+def frame_encoder_transform(encoder: FrameEncoder, rows) -> np.ndarray:
+    """Column-wise encoding of feature dicts with a fitted encoder."""
+    numeric_mask = [codes is None for _, codes in encoder._schema]
+    ordinal = OrdinalEncoder()
+    ordinal.categories_ = [codes for _, codes in encoder._schema if codes is not None]
+    columns = [[row.get(name) for row in rows] for name in encoder.feature_names]
+    categorical = [c for c, num in zip(columns, numeric_mask) if not num]
+    encoded = (
+        ordinal.transform(categorical)
+        if categorical
+        else np.empty((len(rows), 0))
+    )
+    out = np.empty((len(rows), len(encoder.feature_names)), dtype=float)
+    cat_j = 0
+    for j, (col, is_numeric) in enumerate(zip(columns, numeric_mask)):
+        if is_numeric:
+            out[:, j] = [float(v) if v is not None else -1.0 for v in col]
+        else:
+            out[:, j] = encoded[:, cat_j]
+            cat_j += 1
+    return out

@@ -274,6 +274,36 @@ class TestForestArena:
             assert np.array_equal(regressor.predict(fresh),
                                   total / len(regressor.trees_))
 
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK_ROWS + 1])
+    def test_one_class_classifier(self, n):
+        # One output column: at one row each tree holds one value, the
+        # case that cannot use a reduction over the tree axis.
+        x, _ = _data(200, seed=2)
+        one_class = RandomForestClassifier(n_estimators=9, max_depth=5,
+                                           seed=4).fit(x, np.zeros(200, int))
+        fresh = _queries(n, seed=n)
+        proba = one_class.predict_proba(fresh)
+        assert proba.shape == (n, 1)
+        assert np.array_equal(proba, forest_proba(one_class, fresh, _per_tree))
+        assert np.array_equal(proba,
+                              forest_proba(one_class, fresh, proba_per_row))
+
+    def test_one_value_per_tree_adds_in_tree_order(self):
+        # 60 lone-leaf trees whose values span many magnitudes, so a
+        # pairwise sum of the tree axis gives other bits than adding
+        # one tree after another.
+        rng = np.random.default_rng(11)
+        values = rng.random(60) * 10.0 ** rng.integers(-8, 9, size=60)
+        arena = FlatForest.from_trees([
+            FlatTree.build([-1], [np.nan], [-1], [-1], np.array([[v]]))
+            for v in values
+        ])
+        total = 0.0
+        for v in values:
+            total += v
+        assert np.add.reduce(values) != total   # the data tells them apart
+        assert arena.predict_value(np.zeros((1, 2))).tolist() == [[total / 60]]
+
     def test_arena_is_built_with_the_trees(self, forest):
         arena = forest.flat_
         assert isinstance(arena, FlatForest)

@@ -11,6 +11,7 @@ from repro.ml.preprocessing import (
     Standardizer,
     VarianceFilter,
 )
+from tests.ml.reference import frame_encoder_transform
 
 
 class TestOrdinalEncoder:
@@ -160,3 +161,65 @@ class TestFrameEncoder:
     def test_unfitted_transform_raises(self):
         with pytest.raises(RuntimeError):
             FrameEncoder(["a"]).transform([{"a": 1}])
+
+
+def _frame_rows(n: int, seed: int) -> list[dict]:
+    """Rows with numeric and categorical columns, unseen categories,
+    missing keys and extra keys."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        row = {
+            "city": str(rng.choice(["Madrid", "Torello", "Paris", "Lima"])),
+            "hour": int(rng.integers(0, 24)),
+            "price": float(rng.normal()) * 10.0 ** int(rng.integers(-3, 4)),
+            "os": str(rng.choice(["iOS", "Android", "KaiOS"])),
+            "extra": i,
+        }
+        for key in ("city", "hour", "price", "os"):
+            if rng.random() < 0.1:
+                del row[key]
+        rows.append(row)
+    return rows
+
+
+class TestFrameEncoderMatchesColumnWise:
+    """``FrameEncoder.transform`` equals the column-wise reference."""
+
+    NAMES = ["city", "hour", "price", "os"]
+
+    @pytest.fixture(scope="class")
+    def encoder(self):
+        train = [r for r in _frame_rows(300, seed=1)
+                 if all(k in r for k in self.NAMES)
+                 and r["city"] != "Lima" and r["os"] != "KaiOS"]
+        return FrameEncoder(self.NAMES).fit(train)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1025])
+    def test_array_equal(self, encoder, n):
+        rows = _frame_rows(n, seed=n)
+        out = encoder.transform(rows)
+        expected = frame_encoder_transform(encoder, rows)
+        assert out.shape == (n, len(self.NAMES))
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, expected)
+
+    def test_mask_is_what_the_rows_exercise(self, encoder):
+        rows = _frame_rows(1025, seed=1025)
+        assert encoder.to_dict()["numeric_mask"] == [False, True, True, False]
+        out = encoder.transform(rows)
+        assert np.any(out[:, 0] == -1.0) and np.any(out[:, 3] == -1.0)
+        assert np.any(out[:, 1] == -1.0) and np.any(out[:, 2] == -1.0)
+
+    def test_loaded_encoder(self, encoder):
+        rows = _frame_rows(40, seed=7)
+        clone = FrameEncoder.from_dict(encoder.to_dict())
+        assert np.array_equal(clone.transform(rows),
+                              frame_encoder_transform(encoder, rows))
+
+    def test_payload_schema_mismatch_rejected(self, encoder):
+        payload = encoder.to_dict()
+        with pytest.raises(ValueError):
+            FrameEncoder.from_dict(payload | {"vocabulary": payload["vocabulary"][:1]})
+        with pytest.raises(ValueError):
+            FrameEncoder.from_dict(payload | {"numeric_mask": [False, True, True]})

@@ -6,15 +6,25 @@ the straightforward versions it must agree with bit for bit:
 * :func:`reference_respond` -- ``Dsp.respond`` as a scan of the whole
   campaign book, every campaign through ``Campaign.eligible_for``;
 * :func:`reference_build_nurl` -- ``build_nurl`` as a parameter list
-  rendered by ``urlencode(params, quote_via=quote)``.
+  rendered by ``urlencode(params, quote_via=quote)``;
+* :func:`reference_parse_nurl` -- ``parse_nurl`` on urllib's
+  ``urlparse`` and ``parse_qsl`` for every query.
 """
 
 from __future__ import annotations
 
-from urllib.parse import quote, urlencode
+import math
+from urllib.parse import parse_qsl, quote, urlencode, urlparse
 
 from repro.rtb.bidding import Dsp
-from repro.rtb.nurl import FORMATS, WinNotification
+from repro.rtb.nurl import (
+    CHARGE_PRICE_PARAMS,
+    FORMATS,
+    HOST_TO_ADX,
+    ParsedNotification,
+    WinNotification,
+)
+from repro.rtb.pricecrypto import looks_like_encrypted_price
 from repro.rtb.openrtb import Bid, BidRequest, BidResponse
 
 
@@ -75,3 +85,41 @@ def reference_build_nurl(notification: WinNotification) -> str:
     fmt = FORMATS[notification.adx]
     query = urlencode(reference_nurl_params(notification), quote_via=quote)
     return f"{fmt.base_url()}?{query}"
+
+
+def reference_parse_nurl(url: str) -> ParsedNotification | None:
+    """``parse_nurl`` with every query split and unquoted by urllib."""
+    try:
+        parsed = urlparse(url)
+    except ValueError:
+        return None
+    adx = HOST_TO_ADX.get(parsed.netloc)
+    if adx is None:
+        return None
+    pairs = parse_qsl(parsed.query, keep_blank_values=True)
+    params = dict(pairs)
+    price_value = next(
+        (params[macro] for macro in CHARGE_PRICE_PARAMS if macro in params), None
+    )
+    if price_value is None:
+        return None
+    cleartext: float | None = None
+    encrypted: str | None = None
+    try:
+        cleartext = float(price_value)
+        if not math.isfinite(cleartext) or cleartext < 0:
+            return None
+    except (ValueError, OverflowError):
+        if not looks_like_encrypted_price(price_value):
+            return None
+        cleartext = None
+        encrypted = price_value
+    return ParsedNotification(
+        url=url,
+        adx=adx,
+        dsp=params.get("bidder_name"),
+        cleartext_price_cpm=cleartext,
+        encrypted_token=encrypted,
+        n_params=len(pairs),
+        params=params,
+    )

@@ -1,17 +1,25 @@
 """Tests for nURL building and observer-side parsing."""
 
+from urllib.parse import parse_qsl
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rtb.nurl import (
+    CHARGE_PRICE_PARAMS,
     FORMATS,
     WinNotification,
     build_nurl,
     parse_nurl,
+    split_query,
 )
 from repro.rtb.pricecrypto import PriceKeys, encrypt_price
-from tests.rtb.reference import reference_build_nurl, reference_nurl_params
+from tests.rtb.reference import (
+    reference_build_nurl,
+    reference_nurl_params,
+    reference_parse_nurl,
+)
 
 KEYS = PriceKeys.derive("nurl-test")
 TOKEN = encrypt_price(1.5, KEYS, bytes(16))
@@ -163,6 +171,7 @@ class TestBuildMatchesUrlencode:
                 assert parsed is not None
                 assert parsed.adx == adx
                 assert parsed.params == dict(reference_nurl_params(n))
+                assert parsed == reference_parse_nurl(url)
 
     @given(
         st.sampled_from(sorted(FORMATS)),
@@ -175,3 +184,83 @@ class TestBuildMatchesUrlencode:
         n = make_notification(adx=adx, price=price, auction_id=text,
                               publisher=text, dsp=dsp)
         assert build_nurl(n) == reference_build_nurl(n)
+
+
+#: Raw query text: the delimiters and escape characters a query can
+#: hold unescaped (``%``, ``+``, ``;``, ``#``, ``&``, ``=``), valid and
+#: broken escapes, digits for prices and non-ASCII letters.
+_QUERY_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "Z", "0", "9", ".", "-", "%", "+", ";", "#", "&", "=", " ",
+         "%41", "%2", "%zz", "%E2%82%AC", "\u00e9", "\u65e5", "\U0001f600"]
+    ),
+    max_size=12,
+).map("".join)
+
+_FIELD_NAMES = st.sampled_from(
+    CHARGE_PRICE_PARAMS + ("bidder_name", "pub_name", "cmp_id", "size",
+                           "width", "height", "bid_price", "")
+)
+
+
+@st.composite
+def _hostile_nurls(draw):
+    """A known exchange's URL whose raw query mixes real fields, hostile
+    values, empty fields (``&&``) and doubled ``=``."""
+    fmt = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
+    fields = draw(st.lists(
+        st.one_of(
+            st.tuples(_FIELD_NAMES, st.sampled_from(["=", "==", ""]), _QUERY_TEXT),
+            st.tuples(_FIELD_NAMES, st.just("="), st.sampled_from(
+                ["0.5000", "1e400", "nan", "-1", TOKEN, TOKEN[:-2] + "%3D%3D"])),
+            st.just(("", "", "")),
+        ),
+        max_size=8,
+    ))
+    price = (draw(st.sampled_from(CHARGE_PRICE_PARAMS)), "=",
+             draw(st.sampled_from(["0.5000", "12", TOKEN])))
+    fields.insert(draw(st.integers(0, len(fields))), price)
+    query = "&".join(name + sep + value for name, sep, value in fields)
+    tail = draw(st.sampled_from(["", "#frag", "#a&b=c", ";p=1"]))
+    return f"{fmt.base_url()}?{query}{tail}"
+
+
+@pytest.mark.tier1
+class TestParseMatchesUrllib:
+    """``parse_nurl`` equals its urllib reference field for field."""
+
+    @given(st.text(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text(self, text):
+        assert parse_nurl(text) == reference_parse_nurl(text)
+
+    @given(st.sampled_from(sorted(FORMATS)), st.text(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text_after_a_known_host(self, adx, text):
+        url = FORMATS[adx].base_url() + text
+        assert parse_nurl(url) == reference_parse_nurl(url)
+
+    @given(_hostile_nurls())
+    @settings(max_examples=300, deadline=None)
+    def test_hostile_queries(self, url):
+        assert parse_nurl(url) == reference_parse_nurl(url)
+
+
+@pytest.mark.tier1
+class TestSplitQuery:
+    """The shared query splitter equals ``parse_qsl(q, keep_blank_values=True)``."""
+
+    @given(st.text(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text(self, query):
+        assert split_query(query) == parse_qsl(query, keep_blank_values=True)
+
+    @given(_QUERY_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_delimiter_heavy_text(self, query):
+        assert split_query(query) == parse_qsl(query, keep_blank_values=True)
+
+    @pytest.mark.parametrize("query", ["", "&", "&&a=1&&", "a", "a=", "=b",
+                                       "a==b", "a=b=c", "a=1&a=2", "a+b=c%20d"])
+    def test_edge_cases(self, query):
+        assert split_query(query) == parse_qsl(query, keep_blank_values=True)
