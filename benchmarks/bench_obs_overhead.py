@@ -6,15 +6,17 @@ The cardinal rule of ``repro.obs`` is that *disabled* observability is
 ContextVar read and a None check.  This benchmark measures that cost on
 the two tier-1 hot paths the spine instruments most densely:
 
-* the sequential analyzer scan (``WeblogAnalyzer.analyze``), whose
-  per-row work is small enough that any per-call overhead shows; and
+* the sequential analyzer scan (``WeblogAnalyzer.analyze``) over a
+  fixed slice of the weblog, whose per-row work is small enough that
+  any per-call overhead shows; and
 * forest inference (``predict_proba`` over a trained forest, one walk
   of the whole-forest arena), the serve layer's per-request critical
   path.
 
 For each path it times the *instrumented* disabled-mode code against a
 "stripped" twin that bypasses the obs entry points entirely (the
-pre-instrumentation shape of the code), and asserts the overhead stays
+pre-instrumentation shape of the code), as the median of many
+back-to-back, order-swapped call pairs, and asserts the overhead stays
 under the 3% budget.  One JSON record (with the shared
 ``_record.provenance()`` fields) lands in
 ``benchmarks/output/bench_obs_overhead.json`` so the trajectory is
@@ -30,7 +32,6 @@ Entry points::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import statistics
 import sys
@@ -53,45 +54,23 @@ from repro.ml.forest import RandomForestClassifier
 #: The budget the obs spine must honour in disabled mode.
 OVERHEAD_BUDGET = 0.03
 
-#: Repeats for best-of timing (resists noisy-neighbour skew).
-REPEATS = 5
-
 #: Back-to-back call pairs timed on the forest path.
 FOREST_PAIRS = 400
 
+#: Weblog rows each analyzer call scans (the first rows in time order).
+ANALYZER_ROWS = 4_000
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
+#: Back-to-back call pairs timed on the analyzer path.
+ANALYZER_PAIRS = 120
+
+
+def _best_of(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _best_of_interleaved(first, second, repeats: int) -> tuple[float, float]:
-    """Best-of-``repeats`` seconds of two calls timed in alternation.
-
-    Alternating keeps a drift in the shared box's speed from landing on
-    one side only; a collection before each call starts every call from
-    the same garbage-collector state, so a full collection cannot fall
-    into one side's calls run after run.
-    """
-    best = [float("inf"), float("inf")]
-    for _ in range(max(1, repeats)):
-        for i, fn in enumerate((first, second)):
-            gc.collect()
-            start = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best[0], best[1]
-
-
-def _overhead(instrumented_s: float, stripped_s: float) -> float:
-    """Relative overhead of the instrumented path (negative = faster)."""
-    if stripped_s <= 0:
-        return 0.0
-    return instrumented_s / stripped_s - 1.0
 
 
 def _paired_overhead(instrumented, stripped, pairs: int) -> tuple[float, float, float]:
@@ -129,24 +108,25 @@ def _analyzer_stripped(analyzer: WeblogAnalyzer, rows) -> None:
     [analyzer._to_observation(det, extractor) for _, det in indexed]
 
 
-def measure_analyzer(dataset, directory, repeats: int = REPEATS) -> dict:
-    rows = list(dataset.rows)
+def measure_analyzer(dataset, directory, pairs: int = ANALYZER_PAIRS) -> dict:
+    rows = list(dataset.rows[:ANALYZER_ROWS])
     analyzer = WeblogAnalyzer(directory)
     assert obs.active_trace() is None and not obs.profiling_enabled()
-    # Timed in alternation with three times the samples: sequential
-    # best-of runs let a drift in the shared box's speed land on one
-    # side and swing the ratio by tens of percent.
-    instrumented, stripped = _best_of_interleaved(
+    # Over a few long calls, one collection or one slow stretch of a
+    # shared box decides the ratio; many short paired calls give a
+    # median that one outlier cannot move.
+    instrumented, stripped, overhead = _paired_overhead(
         lambda: analyzer.analyze(rows),
         lambda: _analyzer_stripped(analyzer, rows),
-        3 * repeats,
+        pairs,
     )
     return {
         "path": "analyzer.analyze",
         "rows": len(rows),
+        "pairs": pairs,
         "instrumented_s": round(instrumented, 5),
         "stripped_s": round(stripped, 5),
-        "overhead": round(_overhead(instrumented, stripped), 5),
+        "overhead": round(overhead, 5),
     }
 
 
@@ -213,9 +193,9 @@ def measure_span_call(n: int = 200_000) -> dict:
     }
 
 
-def run_all(dataset, directory, repeats: int = REPEATS) -> dict:
+def run_all(dataset, directory) -> dict:
     runs = [
-        measure_analyzer(dataset, directory, repeats),
+        measure_analyzer(dataset, directory),
         measure_forest(),
         measure_span_call(),
     ]
@@ -280,7 +260,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.1,
                         help="fraction of paper-scale dataset D (default 0.1)")
-    parser.add_argument("--repeats", type=int, default=REPEATS)
     parser.add_argument("--json", type=Path, default=None,
                         help="also write the JSON record to this path")
     args = parser.parse_args(argv)
@@ -294,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     dataset = simulate_dataset(config)
     directory = PublisherDirectory.from_universe(dataset.universe)
 
-    record = run_all(dataset, directory, repeats=args.repeats)
+    record = run_all(dataset, directory)
     print("\n".join(_render(record)), file=sys.stderr)
     print(json.dumps(record, indent=2))
     if args.json:

@@ -35,8 +35,6 @@ from repro.analyzer.features import (
 from repro.analyzer.geoip import GeoIpResolver, GeoLookup
 from repro.analyzer.interests import (
     PublisherDirectory,
-    infer_interests,
-    visited_publishers,
 )
 from repro.analyzer.parallel import analyze_parallel, merge_partials, shard_of
 from repro.analyzer.pipeline import (
@@ -74,8 +72,6 @@ __all__ = [
     "GeoIpResolver",
     "GeoLookup",
     "PublisherDirectory",
-    "infer_interests",
-    "visited_publishers",
     "AnalysisResult",
     "PriceObservation",
     "WeblogAnalyzer",

@@ -87,10 +87,6 @@ class DomainBlacklist:
             third_party=self.third_party | other.third_party,
         )
 
-    def add_advertising(self, domain: str) -> None:
-        self.advertising.add(domain.lower())
-        self._memo.clear()
-
     def __len__(self) -> int:
         return (
             len(self.advertising)

@@ -67,6 +67,3 @@ class GeoIpResolver:
             return GeoLookup(ip=ip, city=None, country=None)
         city, country = entry
         return GeoLookup(ip=ip, city=city, country=country)
-
-    def known_networks(self) -> list[str]:
-        return sorted(self._table)

@@ -1,22 +1,20 @@
-"""User-interest inference from browsing history.
+"""The content directory behind user-interest inference.
 
 The paper infers each user's interests by collecting the websites the
 user visits and mapping them to content categories via Google AdWords,
 then aggregating into weighted IAB profiles (section 4.3).  Our
 ``PublisherDirectory`` plays the AdWords role: a (domain -> IAB
 category) lookup built from the publisher universe (a real deployment
-would populate it from a categorisation service).
+would populate it from a categorisation service).  The feature
+extractor (:mod:`repro.analyzer.features`) does the aggregation.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from repro.rtb.iab import InterestProfile, is_valid_category
+from repro.rtb.iab import is_valid_category
 from repro.trace.publishers import MarketUniverse
-from repro.trace.weblog import HttpRequest
 
 
 @dataclass
@@ -48,26 +46,3 @@ class PublisherDirectory:
 
     def __len__(self) -> int:
         return len(self._categories)
-
-
-def infer_interests(
-    content_rows: Iterable[HttpRequest], directory: PublisherDirectory
-) -> InterestProfile:
-    """Weighted IAB interest profile from a user's content requests.
-
-    The caller supplies rows already classified as content (the
-    pipeline uses the blacklist's ``rest`` group, never the simulator's
-    private labels); uncategorised domains are skipped, as AdWords
-    lookups that miss would be.
-    """
-    counts: Counter[str] = Counter()
-    for row in content_rows:
-        category = directory.category_of(row.domain)
-        if category is not None:
-            counts[category] += 1
-    return InterestProfile.from_counts(dict(counts))
-
-
-def visited_publishers(content_rows: Iterable[HttpRequest]) -> set[str]:
-    """Distinct content domains a user visited (a Table-4 feature)."""
-    return {row.domain for row in content_rows}

@@ -173,19 +173,6 @@ class AnalysisResult:
                 out[obs.month][obs.slot_size] += 1
         return dict(out)
 
-    def per_user_cleartext_totals(self) -> dict[str, float]:
-        """Sum of cleartext prices per user (CPM units).
-
-        Cleartext observations whose price failed to parse carry
-        ``price_cpm=None``; they are skipped (matching
-        :meth:`cleartext_prices`) rather than crashing the sum.
-        """
-        totals: dict[str, float] = defaultdict(float)
-        for obs in self.cleartext():
-            if obs.price_cpm is not None:
-                totals[obs.user_id] += obs.price_cpm
-        return dict(totals)
-
 
 def scan_rows_single_pass(
     indexed_rows: Iterable[tuple[int, HttpRequest]],

@@ -6,7 +6,7 @@ package), the encrypted-price classifier, per-user cost computation
 channel, and the ARPU market validation.
 """
 
-from repro.core.binning import PriceBinner, fit_price_binner, loo_entropy
+from repro.core.binning import PriceBinner, fit_price_binner
 from repro.core.campaigns import (
     PROBE_AGGRESSIVENESS,
     PROBE_DSP_NAME,
@@ -81,7 +81,6 @@ from repro.core.youradvalue import LedgerEntry, ToolbarSummary, YourAdValue
 __all__ = [
     "PriceBinner",
     "fit_price_binner",
-    "loo_entropy",
     "ProbeSetup",
     "ProbeImpression",
     "CampaignResult",

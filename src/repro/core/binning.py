@@ -7,15 +7,14 @@ leave-one-out estimate of the entropy of values in each class".
 
 We implement that as 1-D Lloyd iteration in log space initialised from
 equidistant (equal-width) cuts -- the "equidistance model" refined to
-optimal splits -- and expose a leave-one-out entropy score so the
-4-vs-k class ablation can rank binnings the way the paper did.  Each
-class carries a representative CPM (the in-class median), which is how
-a predicted class converts back into an estimated encrypted price.
+optimal splits.  The class-count ablation compares binnings by
+classifier accuracy and AUCROC instead of an entropy score.  Each class
+carries a representative CPM (the in-class median), which is how a
+predicted class converts back into an estimated encrypted price.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,9 +44,6 @@ class PriceBinner:
             raise ValueError("prices must be positive")
         return np.searchsorted(np.asarray(self.cuts), np.log(arr), side="right")
 
-    def assign_one(self, price: float) -> int:
-        return int(self.assign([price])[0])
-
     def representative(self, cls: int) -> float:
         """Median CPM of the class -- the price estimate for that class."""
         return self.representatives[cls]
@@ -56,11 +52,6 @@ class PriceBinner:
         """Vectorised class -> representative CPM mapping."""
         reps = np.asarray(self.representatives)
         return reps[np.asarray(list(classes), dtype=int)]
-
-    def balance(self) -> float:
-        """Smallest class share (1/n_classes would be perfectly balanced)."""
-        total = sum(self.counts)
-        return min(self.counts) / total if total else 0.0
 
     def to_dict(self) -> dict:
         """JSON-compatible form (shipped inside the client model)."""
@@ -141,23 +132,3 @@ def fit_price_binner(
         counts=tuple(counts),
     )
 
-
-def loo_entropy(prices: Sequence[float], binner: PriceBinner) -> float:
-    """Leave-one-out estimate of the class-assignment entropy (nats).
-
-    For each price, the probability of its class is estimated from all
-    *other* prices; the score is the mean negative log-probability.
-    Lower is better: it rewards binnings whose classes are stable under
-    removing any single observation (the paper's selection criterion).
-    """
-    arr = np.asarray(list(prices), dtype=float)
-    labels = binner.assign(arr)
-    n = arr.size
-    if n < 2:
-        raise ValueError("need at least two prices")
-    counts = np.bincount(labels, minlength=binner.n_classes).astype(float)
-    total = 0.0
-    for lbl in labels:
-        p = (counts[lbl] - 1.0) / (n - 1.0)
-        total += -math.log(max(p, 1e-12))
-    return total / n

@@ -253,12 +253,6 @@ class CampaignResult:
             )
         return groups
 
-    def impressions_per_setup(self) -> dict[str, int]:
-        counts: dict[str, int] = {s.setup_id: 0 for s in self.setups}
-        for imp in self.impressions:
-            counts[imp.setup_id] = counts.get(imp.setup_id, 0) + 1
-        return counts
-
     def publishers_reached(self) -> int:
         return len({imp.report.publisher for imp in self.impressions})
 

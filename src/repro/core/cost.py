@@ -44,10 +44,6 @@ class UserCost:
         return self.cleartext_corrected_cpm + self.encrypted_estimated_cpm
 
     @property
-    def total_uncorrected_cpm(self) -> float:
-        return self.cleartext_cpm + self.encrypted_estimated_cpm
-
-    @property
     def n_impressions(self) -> int:
         return self.n_cleartext + self.n_encrypted
 
@@ -62,13 +58,6 @@ class UserCost:
             if self.n_encrypted
             else 0.0
         )
-
-    @property
-    def encrypted_uplift(self) -> float:
-        """E_u as a fraction of C_u (the paper's ~55% average add-on)."""
-        if self.cleartext_corrected_cpm <= 0:
-            return float("inf") if self.encrypted_estimated_cpm > 0 else 0.0
-        return self.encrypted_estimated_cpm / self.cleartext_corrected_cpm
 
 
 def observation_features(obs: PriceObservation) -> dict:
@@ -164,15 +153,6 @@ class CostDistribution:
     def fraction_in(self, low: float, high: float) -> float:
         return float(np.mean((self.total >= low) & (self.total < high)))
 
-    def average_encrypted_uplift(self) -> float:
-        """Mean E_u / corrected-C_u across users with both kinds."""
-        mask = (self.cleartext_corrected > 0) & (self.encrypted > 0)
-        if not mask.any():
-            return 0.0
-        return float(
-            np.mean(self.encrypted[mask] / self.cleartext_corrected[mask])
-        )
-
 
 @dataclass(frozen=True)
 class ExchangeRevenue:
@@ -193,10 +173,6 @@ class ExchangeRevenue:
     @property
     def total_cpm(self) -> float:
         return self.cleartext_cpm + self.encrypted_estimated_cpm
-
-    @property
-    def total_usd(self) -> float:
-        return self.total_cpm / 1000.0
 
 
 def exchange_revenue_estimates(

@@ -100,15 +100,9 @@ class EncryptedPriceModel:
         forest.fit(x, y)
         return cls(feature_names=names, encoder=encoder, binner=binner, forest=forest)
 
-    # -- inference ---------------------------------------------------------
-    #
     # Price estimates go through :class:`repro.core.estimator.Estimator`,
     # the one estimation API (prices, classes, probabilities and spans in
     # one pass).
-
-    def predict_class(self, rows: Sequence[Mapping[str, Hashable]]) -> np.ndarray:
-        x = self.encoder.transform(list(rows))
-        return self.forest.predict(x)
 
     # -- evaluation --------------------------------------------------------
 

@@ -97,7 +97,6 @@ class YourAdValue:
         self.blacklist = blacklist or default_blacklist()
         self.geoip = geoip or GeoIpResolver()
         self.ledger: list[LedgerEntry] = []
-        self._notifications: list[LedgerEntry] = []
 
     # -- traffic monitoring --------------------------------------------------
 
@@ -136,7 +135,6 @@ class YourAdValue:
                 publisher_iab=iab or "unknown",
             )
         self.ledger.append(entry)
-        self._notifications.append(entry)
         return entry
 
     def observe_many(self, rows: Iterable[HttpRequest]) -> int:
@@ -175,12 +173,6 @@ class YourAdValue:
             n_cleartext=len(clr),
             n_encrypted=len(enc),
         )
-
-    def drain_notifications(self) -> list[LedgerEntry]:
-        """New prices since the last toolbar check (then cleared)."""
-        out = self._notifications
-        self._notifications = []
-        return out
 
     # -- PME interaction -------------------------------------------------------
 

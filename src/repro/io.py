@@ -109,15 +109,6 @@ def read_weblog_chunks(
         yield chunk
 
 
-def read_weblog_csv(path: str | Path) -> list[HttpRequest]:
-    """Read weblog rows written by :func:`write_weblog_csv`.
-
-    Materialises the whole file; prefer :func:`iter_weblog_csv` /
-    :func:`read_weblog_chunks` on large logs.
-    """
-    return list(iter_weblog_csv(path))
-
-
 def write_observations_csv(
     observations: Iterable[PriceObservation], path: str | Path
 ) -> int:

@@ -1,7 +1,7 @@
 """From-scratch machine-learning substrate (no scikit-learn available).
 
 Provides everything the paper's Price Modeling Engine needs: CART
-decision trees, Random Forests with OOB error and Gini importances,
+decision trees, Random Forests with OOB score and Gini importances,
 Weka-style weighted classification metrics (TP/FP rate, precision,
 recall, AUCROC), stratified k-fold cross validation, PCA, feature
 encoders/filters, and JSON model serialisation for shipping trees to
@@ -15,7 +15,6 @@ from repro.ml.metrics import (
     accuracy,
     classification_report,
     confusion_matrix,
-    mean_absolute_error,
     mean_squared_error,
     r2_score,
     roc_auc_ovr_weighted,
@@ -32,7 +31,6 @@ from repro.ml.pca import PCA
 from repro.ml.preprocessing import (
     CorrelationFilter,
     FrameEncoder,
-    OneHotEncoder,
     OrdinalEncoder,
     Standardizer,
     VarianceFilter,
@@ -61,7 +59,6 @@ __all__ = [
     "roc_auc_ovr_weighted",
     "mean_squared_error",
     "root_mean_squared_error",
-    "mean_absolute_error",
     "r2_score",
     "CrossValidationResult",
     "cross_validate_classifier",
@@ -70,7 +67,6 @@ __all__ = [
     "train_test_split",
     "PCA",
     "OrdinalEncoder",
-    "OneHotEncoder",
     "FrameEncoder",
     "Standardizer",
     "VarianceFilter",

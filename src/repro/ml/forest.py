@@ -1,4 +1,4 @@
-"""Random Forests with OOB error, Gini importances and parallel fit.
+"""Random Forests with OOB score, Gini importances and parallel fit.
 
 The paper uses Random Forests twice: (1) for dimensionality reduction,
 ranking semantic feature groups by their power to explain the cleartext
@@ -353,11 +353,6 @@ class RandomForestClassifier(_Forest):
         """Flat-tree leaf id per (row, member tree): shape (n, n_trees)."""
         x = self._matrix(x)
         return self.flat_.apply(x)
-
-    @property
-    def oob_error_(self) -> float | None:
-        """Out-of-bag misclassification rate (``1 - oob_score_``)."""
-        return None if self.oob_score_ is None else 1.0 - self.oob_score_
 
 
 class RandomForestRegressor(_Forest):

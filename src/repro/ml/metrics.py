@@ -187,15 +187,6 @@ def root_mean_squared_error(y_true: Sequence[float], y_pred: Sequence[float]) ->
     return float(np.sqrt(mean_squared_error(y_true, y_pred)))
 
 
-def mean_absolute_error(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
-    """Mean absolute error."""
-    yt = np.asarray(y_true, dtype=float)
-    yp = np.asarray(y_pred, dtype=float)
-    if yt.size == 0:
-        raise ValueError("empty arrays")
-    return float(np.mean(np.abs(yt - yp)))
-
-
 def r2_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     """Coefficient of determination R^2."""
     yt = np.asarray(y_true, dtype=float)

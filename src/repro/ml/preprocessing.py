@@ -59,61 +59,6 @@ class OrdinalEncoder:
         return dict(self.categories_[feature])
 
 
-class OneHotEncoder:
-    """Expand categorical columns into 0/1 indicator columns.
-
-    Used by the regression baseline (section 5.4 reports that regression
-    on the raw features performs poorly; we reproduce that comparison).
-    """
-
-    def __init__(self) -> None:
-        self.categories_: list[list[Hashable]] = []
-
-    def fit(self, columns: Sequence[Sequence[Hashable]]) -> "OneHotEncoder":
-        self.categories_ = []
-        for col in columns:
-            seen: dict[Hashable, None] = {}
-            for value in col:
-                seen.setdefault(value, None)
-            self.categories_.append(list(seen))
-        return self
-
-    def transform(self, columns: Sequence[Sequence[Hashable]]) -> np.ndarray:
-        if len(columns) != len(self.categories_):
-            raise ValueError(
-                f"expected {len(self.categories_)} columns, got {len(columns)}"
-            )
-        n = len(columns[0]) if columns else 0
-        blocks: list[np.ndarray] = []
-        for col, cats in zip(columns, self.categories_):
-            index = {c: i for i, c in enumerate(cats)}
-            block = np.zeros((n, len(cats)), dtype=float)
-            for row, value in enumerate(col):
-                j = index.get(value)
-                if j is not None:
-                    block[row, j] = 1.0
-            blocks.append(block)
-        if not blocks:
-            return np.empty((n, 0), dtype=float)
-        return np.hstack(blocks)
-
-    def fit_transform(self, columns: Sequence[Sequence[Hashable]]) -> np.ndarray:
-        return self.fit(columns).transform(columns)
-
-    @property
-    def n_output_features(self) -> int:
-        return sum(len(c) for c in self.categories_)
-
-    def feature_names(self, input_names: Sequence[str]) -> list[str]:
-        """Names for the expanded columns, ``"<col>=<category>"``."""
-        if len(input_names) != len(self.categories_):
-            raise ValueError("one input name per fitted column required")
-        names = []
-        for name, cats in zip(input_names, self.categories_):
-            names.extend(f"{name}={c}" for c in cats)
-        return names
-
-
 class Standardizer:
     """Zero-mean unit-variance scaling (used by PCA and regression)."""
 

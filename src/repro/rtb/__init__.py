@@ -1,7 +1,7 @@
 """RTB ecosystem substrate.
 
-Implements every player of the paper's Figure 1 -- publishers, SSPs,
-ad exchanges, DSPs, DMPs -- plus the mechanics they interact through:
+Implements the players of the paper's Figure 1 -- publishers, ad
+exchanges, DSPs, DMPs -- plus the mechanics they interact through:
 OpenRTB-style bid requests, second-price auctions, win-notification
 URLs with cleartext or 28-byte-encrypted charge prices, cookie
 synchronisation, campaigns with Table-5 targeting, and the IAB/ad-slot
@@ -15,7 +15,6 @@ from repro.rtb.adslots import (
     NICKNAMES,
     TURN_SIZES,
     AdSlotSize,
-    catalog,
     sort_by_area,
 )
 from repro.rtb.auction import (
@@ -27,7 +26,6 @@ from repro.rtb.auction import (
 from repro.rtb.bidding import (
     Dsp,
     FeatureBidEngine,
-    FixedBidEngine,
     RetargetingEngine,
     ValueModel,
 )
@@ -36,7 +34,6 @@ from repro.rtb.campaign import (
     Campaign,
     TargetingSpec,
     campaign_daypart,
-    clone_for_adx,
 )
 from repro.rtb.cookiesync import CookieSyncRegistry, synced_uid
 from repro.rtb.entities import (
@@ -46,7 +43,6 @@ from repro.rtb.entities import (
     Advertiser,
     Dmp,
     Publisher,
-    Ssp,
 )
 from repro.rtb.exchange import AdExchange, AuctionRecord, PairEncryptionPolicy
 from repro.rtb.iab import (
@@ -55,8 +51,6 @@ from repro.rtb.iab import (
     FIGURE15_CATEGORIES,
     IAB_CATEGORIES,
     InterestProfile,
-    category_index,
-    category_name,
     is_valid_category,
 )
 from repro.rtb.nurl import (
@@ -95,7 +89,6 @@ __all__ = [
     "TURN_SIZES",
     "CAMPAIGN_PHONE_SIZES",
     "CAMPAIGN_TABLET_SIZES",
-    "catalog",
     "sort_by_area",
     "AuctionError",
     "AuctionOutcome",
@@ -103,14 +96,12 @@ __all__ = [
     "run_first_price_auction",
     "Dsp",
     "FeatureBidEngine",
-    "FixedBidEngine",
     "RetargetingEngine",
     "ValueModel",
     "Campaign",
     "TargetingSpec",
     "CAMPAIGN_DAYPARTS",
     "campaign_daypart",
-    "clone_for_adx",
     "CookieSyncRegistry",
     "synced_uid",
     "MARKET_SHARES",
@@ -118,7 +109,6 @@ __all__ = [
     "DSP_NAMES",
     "Publisher",
     "Advertiser",
-    "Ssp",
     "Dmp",
     "AdExchange",
     "AuctionRecord",
@@ -129,8 +119,6 @@ __all__ = [
     "FIGURE15_CATEGORIES",
     "InterestProfile",
     "is_valid_category",
-    "category_name",
-    "category_index",
     "FORMATS",
     "HOST_TO_ADX",
     "CHARGE_PRICE_PARAMS",

@@ -84,13 +84,6 @@ CAMPAIGN_PHONE_SIZES: tuple[str, ...] = ("320x50", "300x250", "320x480")
 CAMPAIGN_TABLET_SIZES: tuple[str, ...] = ("728x90", "300x250", "768x1024")
 
 
-def catalog() -> list[AdSlotSize]:
-    """All known slot sizes, sorted by area then width."""
-    labels = set(FIGURE12_SIZES) | set(CAMPAIGN_TABLET_SIZES) | set(NICKNAMES)
-    sizes = [AdSlotSize.parse(lbl) for lbl in labels]
-    return sorted(sizes, key=lambda s: (s.area, s.width))
-
-
 def sort_by_area(labels: list[str] | tuple[str, ...]) -> list[str]:
     """Sort slot labels by pixel area (the paper's figure ordering)."""
     return sorted(labels, key=lambda lbl: AdSlotSize.parse(lbl).area)

@@ -76,21 +76,6 @@ class FeatureBidEngine:
 
 
 @dataclass
-class FixedBidEngine:
-    """Bid a constant CPM on every eligible request (test harness aid)."""
-
-    bid_cpm: float
-
-    def __post_init__(self) -> None:
-        if self.bid_cpm <= 0:
-            raise ValueError("bid_cpm must be positive")
-
-    def price_bid(self, request: BidRequest, campaign: Campaign,
-                  rng: np.random.Generator) -> float | None:
-        return min(self.bid_cpm, campaign.max_bid_cpm)
-
-
-@dataclass
 class RetargetingEngine:
     """Audience-retargeting bidding (the paper's deferred future work).
 

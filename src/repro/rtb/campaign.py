@@ -10,7 +10,7 @@ of the trace simulator use loose targeting; the probe campaigns of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.rtb.openrtb import BidRequest
 from repro.util.timeutil import is_weekend
@@ -122,15 +122,3 @@ class Campaign:
             raise ValueError(f"negative charge price {charge_price_cpm}")
         self.spent_usd += charge_price_cpm / 1000.0
         self.impressions_won += 1
-
-    @property
-    def average_cpm(self) -> float:
-        """Realised average CPM across won impressions (0 when none)."""
-        if self.impressions_won == 0:
-            return 0.0
-        return self.spent_usd * 1000.0 / self.impressions_won
-
-
-def clone_for_adx(spec: TargetingSpec, adx: str) -> TargetingSpec:
-    """Copy of a setup retargeted at a different exchange (A2 reuses A1)."""
-    return replace(spec, adxs=frozenset({adx}))

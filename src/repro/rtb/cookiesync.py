@@ -28,7 +28,6 @@ class CookieSyncRegistry:
     """
 
     _table: dict[tuple[str, str, str], str] = field(default_factory=dict)
-    _per_user: dict[str, int] = field(default_factory=dict)
     _by_user_source: dict[tuple[str, str], dict[str, str]] = field(default_factory=dict)
 
     def sync(self, user_id: str, source: str, destination: str) -> tuple[str, bool]:
@@ -38,7 +37,6 @@ class CookieSyncRegistry:
             return self._table[key], False
         uid = synced_uid(destination, user_id)
         self._table[key] = uid
-        self._per_user[user_id] = self._per_user.get(user_id, 0) + 1
         self._by_user_source.setdefault((user_id, source), {})[destination] = uid
         return uid, True
 
@@ -54,10 +52,6 @@ class CookieSyncRegistry:
         O(1) lookup because it sits on the auction hot path.
         """
         return dict(self._by_user_source.get((user_id, source), {}))
-
-    def sync_count(self, user_id: str) -> int:
-        """Total distinct syncs observed for a user (a Table-4 feature)."""
-        return self._per_user.get(user_id, 0)
 
     def beacon_url(self, user_id: str, source: str, destination: str) -> str:
         """The sync-pixel URL such an event leaves in the weblog."""

@@ -89,25 +89,6 @@ class Advertiser:
             raise ValueError(f"unknown IAB category {self.iab_category!r}")
 
 
-@dataclass(frozen=True)
-class Ssp:
-    """Supply-side platform: fronts publishers toward exchanges.
-
-    The SSP chooses which exchange receives each ad request and sets
-    the price floor for the publisher's inventory.
-    """
-
-    name: str
-    exchanges: tuple[str, ...]
-    floor_cpm: float = 0.01
-
-    def __post_init__(self) -> None:
-        if not self.exchanges:
-            raise ValueError(f"SSP {self.name} fronts no exchanges")
-        if self.floor_cpm < 0:
-            raise ValueError("negative floor")
-
-
 @dataclass
 class Dmp:
     """Data-management platform: the ecosystem's user-data warehouse.
@@ -143,14 +124,6 @@ class Dmp:
         """The run-time profile for a user, or None when unknown."""
         profile = self._profiles.get(user_id)
         return dict(profile) if profile is not None else None
-
-    def audience_segment(self, iab_category: str) -> list[str]:
-        """Users whose dominant interest matches a category."""
-        return [
-            uid
-            for uid, profile in self._profiles.items()
-            if profile["interests"].dominant == iab_category
-        ]
 
     def __len__(self) -> int:
         return len(self._profiles)

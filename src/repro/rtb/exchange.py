@@ -12,7 +12,6 @@ encrypted pairs rises steadily through 2015.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,11 +57,6 @@ class PairEncryptionPolicy:
         )
         return encrypted / len(self.adoption)
 
-    @classmethod
-    def always_cleartext(cls, adxs: list[str], dsps: list[str]) -> "PairEncryptionPolicy":
-        """Every pair sends cleartext forever."""
-        return cls(adoption={pair: None for pair in itertools.product(adxs, dsps)})
-
 
 @dataclass(frozen=True)
 class AuctionRecord:
@@ -105,7 +99,6 @@ class AdExchange:
         self.floor_cpm = floor_cpm
         self.mechanism = mechanism
         self.auctions_run = 0
-        self.auctions_sold = 0
         self.revenue_usd = 0.0
 
     def run_auction(
@@ -175,7 +168,6 @@ class AdExchange:
                 campaign_id=winner.campaign_id,
             )
 
-        self.auctions_sold += 1
         self.revenue_usd += charge / 1000.0
         return AuctionRecord(
             request=request,
@@ -184,10 +176,3 @@ class AdExchange:
             nurl=build_nurl(notification),
             true_charge_price_cpm=charge,
         )
-
-    @property
-    def sell_through_rate(self) -> float:
-        """Fraction of auctions that produced a winner."""
-        if self.auctions_run == 0:
-            return 0.0
-        return self.auctions_sold / self.auctions_run

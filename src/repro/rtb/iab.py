@@ -71,18 +71,6 @@ def is_valid_category(code: str) -> bool:
     return code in IAB_CATEGORIES
 
 
-def category_name(code: str) -> str:
-    """Human-readable name of an IAB code; raises KeyError when unknown."""
-    return IAB_CATEGORIES[code]
-
-
-def category_index(code: str) -> int:
-    """Numeric part of an IAB code (``'IAB13'`` -> 13)."""
-    if not code.startswith("IAB"):
-        raise ValueError(f"not an IAB code: {code!r}")
-    return int(code[3:])
-
-
 @dataclass(frozen=True)
 class InterestProfile:
     """A user's weighted IAB interest profile.

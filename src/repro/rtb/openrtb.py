@@ -104,7 +104,3 @@ class BidResponse:
     auction_id: str
     dsp: str
     bids: tuple[Bid, ...] = ()
-
-    @property
-    def is_no_bid(self) -> bool:
-        return len(self.bids) == 0

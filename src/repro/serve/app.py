@@ -27,13 +27,17 @@ executor); the loop side then installs the finished
 :class:`~repro.serve.store.ModelSnapshot` with a single reference
 assignment.  Handlers (and each micro-batch flush) grab one snapshot
 reference up front, so in-flight estimates never block on -- and never
-straddle -- a swap.
+straddle -- a swap.  A retrain that raises installs nothing: the server
+keeps serving the current snapshot, logs the traceback, counts the
+attempt as ``serve.retrains{outcome=failed}``, and tries again only once
+another ``retrain_min_new_rows`` rows have become releasable.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from typing import Awaitable, Callable
 
@@ -51,6 +55,8 @@ from repro.serve.http import (
 )
 from repro.serve.metrics import ServeMetrics
 from repro.serve.store import ModelStore, build_snapshot
+
+log = logging.getLogger(__name__)
 
 #: Routes and the methods they accept (anything else is a 405).
 ROUTES: dict[str, tuple[str, ...]] = {
@@ -401,6 +407,7 @@ class PmeServer:
         )
 
     async def _retrain(self) -> None:
+        attempted_rows = self.contributions.stats["releasable"]
         try:
             # Full scan once, at retrain time -- not per /metrics poll.
             rows, prices = self.contributions.training_rows()
@@ -417,9 +424,18 @@ class PmeServer:
                 None, job
             )
             self.store.install(snapshot)
-            self.metrics.on_retrain()
-            self._retrained_at_rows = len(rows)
+        except Exception:
+            log.exception(
+                "retrain on %d rows failed; still serving model version %d",
+                attempted_rows, self.store.current.version,
+            )
+            self.metrics.on_retrain("failed")
+        else:
+            self.metrics.on_retrain("installed")
         finally:
+            # Failed or not, the next attempt waits for a fresh floor of
+            # rows instead of retrying on every /contribute.
+            self._retrained_at_rows = attempted_rows
             self._retrain_task = None
         # More rows may have crossed the floor while we trained.
         self._maybe_schedule_retrain()

@@ -2,8 +2,8 @@
 
 Two layers:
 
-* :class:`Connection` / :func:`request_once` -- a tiny keep-alive
-  HTTP/1.1 client over asyncio streams, stdlib-only like the server.
+* :class:`Connection` -- a tiny keep-alive HTTP/1.1 client over
+  asyncio streams, stdlib-only like the server.
   The serve test-suite reuses it, so client and server framing are
   exercised against each other over real sockets.
 * :func:`run_load` -- the actual load generator: ``concurrency``
@@ -104,22 +104,6 @@ class Connection:
         if headers.get("connection", "").lower() == "close":
             await self.close()
         return Response(status=status, headers=headers, body=body)
-
-
-async def request_once(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    body: bytes | None = None,
-    headers: dict[str, str] | None = None,
-) -> Response:
-    """One-shot convenience: open, request, close."""
-    conn = Connection(host, port)
-    try:
-        return await conn.request(method, path, body=body, headers=headers)
-    finally:
-        await conn.close()
 
 
 # -- the load generator -----------------------------------------------------

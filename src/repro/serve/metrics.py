@@ -46,7 +46,7 @@ class ServeMetrics:
         self._estimate_errors = reg.counter(
             "serve.estimate.errors", "failed /estimate requests")
         self._retrains = reg.counter(
-            "serve.retrains", "hot-reload retrains completed")
+            "serve.retrains", "hot-reload retrains per outcome")
         self._model_not_modified = reg.counter(
             "serve.model.not_modified", "/model 304 responses")
         self._latency = reg.histogram(
@@ -81,8 +81,9 @@ class ServeMetrics:
     def on_estimate_error(self) -> None:
         self._estimate_errors.inc()
 
-    def on_retrain(self) -> None:
-        self._retrains.inc()
+    def on_retrain(self, outcome: str) -> None:
+        """Count one retrain: ``installed`` or ``failed``."""
+        self._retrains.inc(outcome=outcome)
 
     def on_model_not_modified(self) -> None:
         self._model_not_modified.inc()

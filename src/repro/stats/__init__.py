@@ -5,14 +5,12 @@ from repro.stats.descriptive import (
     Cdf,
     PercentileSummary,
     fraction_below,
-    fraction_between,
-    geometric_mean,
     summarize,
     summarize_groups,
 )
 from repro.stats.distributions import LogNormal, median_ratio
 from repro.stats.ks import KsResult, ks_two_sample
-from repro.stats.textplot import cdf_plot, hbar, percentile_box
+from repro.stats.textplot import cdf_plot, percentile_box
 from repro.stats.sampling import (
     CampaignSizing,
     margin_of_error,
@@ -27,8 +25,6 @@ __all__ = [
     "summarize",
     "summarize_groups",
     "fraction_below",
-    "fraction_between",
-    "geometric_mean",
     "LogNormal",
     "median_ratio",
     "KsResult",
@@ -38,6 +34,5 @@ __all__ = [
     "required_samples",
     "z_score",
     "cdf_plot",
-    "hbar",
     "percentile_box",
 ]

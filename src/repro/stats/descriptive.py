@@ -39,19 +39,6 @@ class PercentileSummary:
         """The p95-p5 range: the paper's notion of price "fluctuation"."""
         return self.p95 - self.p5
 
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict form, convenient for tabular printing."""
-        return {
-            "count": self.count,
-            "p5": self.p5,
-            "p10": self.p10,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p95": self.p95,
-            "mean": self.mean,
-            "std": self.std,
-        }
-
 
 def summarize(values: Iterable[float]) -> PercentileSummary:
     """Compute the paper's percentile summary over a sample.
@@ -114,10 +101,6 @@ class Cdf:
         idx = int(np.ceil(p * self.xs.size)) - 1
         return float(self.xs[idx])
 
-    def at_levels(self, xs: Sequence[float]) -> list[tuple[float, float]]:
-        """Convenience: ``[(x, F(x)) for x in xs]`` for table printing."""
-        return [(float(x), self.evaluate(float(x))) for x in xs]
-
     def __len__(self) -> int:
         return int(self.xs.size)
 
@@ -128,21 +111,3 @@ def fraction_below(values: Iterable[float], threshold: float) -> float:
     if arr.size == 0:
         raise ValueError("empty sample")
     return float(np.mean(arr < threshold))
-
-
-def fraction_between(values: Iterable[float], low: float, high: float) -> float:
-    """Fraction of sample values in the half-open interval ``[low, high)``."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    return float(np.mean((arr >= low) & (arr < high)))
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean; all values must be positive."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(arr))))

@@ -26,10 +26,6 @@ class KsResult:
     n1: int
     n2: int
 
-    def significant(self, alpha: float = 0.05) -> bool:
-        """True when the null (same distribution) is rejected at ``alpha``."""
-        return self.pvalue < alpha
-
 
 def _kolmogorov_sf(x: float, terms: int = 101) -> float:
     """Survival function of the Kolmogorov distribution.

@@ -88,8 +88,3 @@ class CampaignSizing:
             impression_margin=impression_margin,
             confidence=confidence,
         )
-
-    @property
-    def total_impressions(self) -> int:
-        """Minimum impressions the full campaign grid must buy."""
-        return self.n_setups * self.impressions_per_campaign

@@ -3,9 +3,9 @@
 The paper's evaluation is figures; a terminal-first reproduction needs
 to *show* them, not only assert on them.  This module renders the two
 chart families the paper uses into fixed-width text: CDF families with
-log-scaled x axes (Figures 11, 16, 17) and bar/box summaries (Figures
-5-10, 12-15).  Benches embed these renderings in their regenerated
-outputs so a reader can eyeball the shapes next to the paper.
+log-scaled x axes (Figures 11, 16, 17) and percentile-box summaries
+(Figures 5-10, 12-15).  Benches embed these renderings in their
+regenerated outputs so a reader can eyeball the shapes next to the paper.
 """
 
 from __future__ import annotations
@@ -14,34 +14,6 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-_BLOCKS = " ▏▎▍▌▋▊▉█"
-
-
-def hbar(
-    labels_values: Mapping[str, float] | Sequence[tuple[str, float]],
-    width: int = 40,
-    fmt: str = "{:.3f}",
-) -> list[str]:
-    """Horizontal bar chart lines for labelled values (>= 0)."""
-    items = list(labels_values.items()) if isinstance(labels_values, Mapping) else list(labels_values)
-    if not items:
-        return []
-    peak = max(value for _, value in items)
-    if peak <= 0:
-        peak = 1.0
-    label_width = max(len(str(label)) for label, _ in items)
-    lines = []
-    for label, value in items:
-        filled = value / peak * width
-        whole = int(filled)
-        remainder = filled - whole
-        bar = "█" * whole
-        if remainder > 0 and whole < width:
-            bar += _BLOCKS[int(remainder * (len(_BLOCKS) - 1))]
-        lines.append(f"{str(label):<{label_width}} |{bar:<{width}}| " + fmt.format(value))
-    return lines
-
 
 def _log_grid(lo: float, hi: float, width: int) -> np.ndarray:
     lo = max(lo, 1e-9)

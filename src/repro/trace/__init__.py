@@ -29,7 +29,6 @@ from repro.trace.geography import (
     City,
     assign_ip,
     city_by_name,
-    city_for_ip,
     population_weights,
 )
 from repro.trace.population import (
@@ -54,7 +53,6 @@ from repro.trace.publishers import (
     MarketUniverse,
     build_universe,
     sample_slot_size,
-    slot_weights_for,
 )
 from repro.trace.simulate import (
     PREMIUM_DSPS,
@@ -63,7 +61,6 @@ from repro.trace.simulate import (
     SimulationConfig,
     build_desktop_policy,
     build_market,
-    cached_dataset,
     default_config,
     simulate_dataset,
     simulate_period,
@@ -87,7 +84,6 @@ __all__ = [
     "CAMPAIGN_CITIES",
     "COUNTRY",
     "city_by_name",
-    "city_for_ip",
     "assign_ip",
     "population_weights",
     "DeviceProfile",
@@ -112,7 +108,6 @@ __all__ = [
     "MarketUniverse",
     "build_universe",
     "sample_slot_size",
-    "slot_weights_for",
     "PublisherChooser",
     "sample_event_times",
     "HOURLY_WEIGHTS",
@@ -134,7 +129,6 @@ __all__ = [
     "build_desktop_policy",
     "simulate_period",
     "simulate_dataset",
-    "cached_dataset",
     "default_config",
     "small_config",
 ]

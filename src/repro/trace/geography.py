@@ -66,16 +66,11 @@ CAMPAIGN_CITIES: tuple[str, ...] = ("Madrid", "Barcelona", "Valencia", "Seville"
 COUNTRY = "ES"
 
 _BY_NAME: dict[str, City] = {c.name: c for c in CITIES}
-_BY_BLOCK: dict[int, City] = {c.ip_block: c for c in CITIES}
 
 
 def city_by_name(name: str) -> City:
     """Look a city up by name; raises KeyError when unknown."""
     return _BY_NAME[name]
-
-
-def all_city_names() -> list[str]:
-    return [c.name for c in CITIES]
 
 
 def population_weights() -> np.ndarray:
@@ -88,18 +83,3 @@ def assign_ip(city: City, rng: np.random.Generator) -> str:
     """A synthetic IPv4 address inside the city's /16 block."""
     return f"85.{city.ip_block}.{rng.integers(0, 256)}.{rng.integers(1, 255)}"
 
-
-def city_for_ip(ip: str) -> City | None:
-    """Reverse geocode a synthetic IP to its city (the GeoIP registry).
-
-    Returns ``None`` for addresses outside the known blocks, mirroring
-    MaxMind lookups that miss.
-    """
-    parts = ip.split(".")
-    if len(parts) != 4 or parts[0] != "85":
-        return None
-    try:
-        block = int(parts[1])
-    except ValueError:
-        return None
-    return _BY_BLOCK.get(block)

@@ -66,6 +66,11 @@ _TABLET_SLOT_WEIGHTS: dict[str, float] = {
 
 
 def _slot_weights(device_type: str, months_since: int) -> tuple[list[str], np.ndarray]:
+    """Slot labels and sampling weights ``months_since`` January 2015.
+
+    Indexing by months elapsed lets the 2016 probe campaigns see the
+    late-2015 mix continued.
+    """
     if device_type == "tablet":
         labels = list(_TABLET_SLOT_WEIGHTS)
         weights = np.array([_TABLET_SLOT_WEIGHTS[lbl] for lbl in labels])
@@ -76,15 +81,6 @@ def _slot_weights(device_type: str, months_since: int) -> tuple[list[str], np.nd
              for base, drift in _PHONE_SLOT_DRIFT.values()]
         )
     return labels, weights / weights.sum()
-
-
-def slot_weights_for(ts: float, device_type: str) -> tuple[list[str], np.ndarray]:
-    """Slot labels and sampling weights at a point in time.
-
-    The drift is indexed by months elapsed since January 2015, so the
-    2016 probe campaigns see the late-2015 mix continued.
-    """
-    return _slot_weights(device_type, months_since_2015(ts))
 
 
 @functools.lru_cache(maxsize=256)
@@ -112,13 +108,6 @@ class MarketUniverse:
     @property
     def publishers(self) -> tuple[Publisher, ...]:
         return self.web_publishers + self.app_publishers
-
-    def by_category(self, iab: str, is_app: bool | None = None) -> list[Publisher]:
-        """Publishers in one IAB category, optionally filtered by kind."""
-        pubs = self.publishers if is_app is None else (
-            self.app_publishers if is_app else self.web_publishers
-        )
-        return [p for p in pubs if p.iab_category == iab]
 
 
 _WEB_WORDS = ("noticias", "diario", "portal", "revista", "blog", "guia", "foro",

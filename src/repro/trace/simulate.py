@@ -19,7 +19,6 @@ Market composition encodes the paper's measurements:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -468,8 +467,3 @@ def simulate_dataset(config: SimulationConfig | None = None) -> Weblog:
     weblog.finalize()
     return weblog
 
-
-@functools.lru_cache(maxsize=4)
-def cached_dataset(config: SimulationConfig | None = None) -> Weblog:
-    """Memoised :func:`simulate_dataset` (benchmarks share one D)."""
-    return simulate_dataset(config)

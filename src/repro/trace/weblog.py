@@ -12,7 +12,6 @@ where ground truth came from the authors' own campaign reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.rtb.exchange import AuctionRecord, PairEncryptionPolicy
 from repro.trace.population import UserProfile
@@ -99,18 +98,6 @@ class Weblog:
         """Sort rows by time (the proxy log is chronological)."""
         self.rows.sort(key=lambda r: r.timestamp)
         self.impressions.sort(key=lambda i: i.record.request.timestamp)
-
-    # -- convenience views ---------------------------------------------------
-
-    def nurl_rows(self) -> Iterator[HttpRequest]:
-        """Rows carrying win notifications."""
-        return (r for r in self.rows if r.kind == KIND_NURL)
-
-    def user_by_id(self, user_id: str) -> UserProfile:
-        for user in self.users:
-            if user.user_id == user_id:
-                return user
-        raise KeyError(user_id)
 
     @property
     def n_users(self) -> int:

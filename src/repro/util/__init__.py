@@ -3,11 +3,9 @@ process-pool worker resolution."""
 
 from repro.util.money import (
     cpm_to_micros,
-    cpm_to_per_impression,
     format_cpm,
     format_usd,
     micros_to_cpm,
-    per_impression_to_cpm,
 )
 from repro.util.parallel import pool_context, resolve_workers
 from repro.util.rng import DEFAULT_SEED, RngRegistry, derive_seed, stream
@@ -19,21 +17,16 @@ from repro.util.timeutil import (
     DAY_NAMES,
     TIME_OF_DAY_BUCKETS,
     Period,
-    day_name,
     day_of_week,
     epoch,
     from_epoch,
     hour_of,
     is_weekend,
     month_of,
-    time_of_day_bucket,
     year_of,
 )
 from repro.util.validation import (
-    require,
     require_in_unit_interval,
-    require_non_empty,
-    require_one_of,
     require_positive,
 )
 
@@ -55,20 +48,13 @@ __all__ = [
     "year_of",
     "hour_of",
     "day_of_week",
-    "day_name",
     "is_weekend",
-    "time_of_day_bucket",
-    "cpm_to_per_impression",
-    "per_impression_to_cpm",
     "cpm_to_micros",
     "micros_to_cpm",
     "format_cpm",
     "format_usd",
     "pool_context",
     "resolve_workers",
-    "require",
     "require_positive",
     "require_in_unit_interval",
-    "require_one_of",
-    "require_non_empty",
 ]

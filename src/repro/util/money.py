@@ -2,25 +2,14 @@
 
 RTB charge prices are quoted in CPM (cost per mille: US dollars per 1000
 impressions), following the paper's convention that all observed prices
-are USD.  This module centralises the CPM <-> per-impression conversions
-and micro-dollar integer encoding used on the wire by real exchanges
-(e.g. DoubleClick encodes prices in micros of the account currency).
+are USD.  This module centralises the micro-dollar integer encoding
+used on the wire by real exchanges (e.g. DoubleClick encodes prices in
+micros of the account currency) and the CPM display formats.
 """
 
 from __future__ import annotations
 
 MICROS_PER_UNIT = 1_000_000
-IMPRESSIONS_PER_MILLE = 1_000
-
-
-def cpm_to_per_impression(cpm: float) -> float:
-    """Dollars paid for a single impression at a given CPM."""
-    return cpm / IMPRESSIONS_PER_MILLE
-
-
-def per_impression_to_cpm(dollars: float) -> float:
-    """CPM equivalent of a per-impression dollar price."""
-    return dollars * IMPRESSIONS_PER_MILLE
 
 
 def cpm_to_micros(cpm: float) -> int:

@@ -12,7 +12,6 @@ users are in one country), so no timezone conversion is applied.
 
 from __future__ import annotations
 
-import calendar
 import datetime as dt
 from dataclasses import dataclass
 
@@ -73,24 +72,9 @@ def day_of_week(ts: float) -> int:
     return from_epoch(ts).weekday()
 
 
-def day_name(ts: float) -> str:
-    """English day-of-week name of a timestamp."""
-    return DAY_NAMES[day_of_week(ts)]
-
-
 def is_weekend(ts: float) -> bool:
     """True when the timestamp falls on Saturday or Sunday."""
     return day_of_week(ts) >= 5
-
-
-def time_of_day_bucket(ts: float) -> str:
-    """Four-hour bucket label used in the paper's Figure 6."""
-    return TIME_OF_DAY_BUCKETS[hour_of(ts) // 4]
-
-
-def days_in_month(year: int, month: int) -> int:
-    """Number of days in a calendar month."""
-    return calendar.monthrange(year, month)[1]
 
 
 @dataclass(frozen=True)
@@ -116,13 +100,6 @@ class Period:
             return cls(epoch(year, 12, 1), epoch(year + 1, 1, 1))
         return cls(epoch(year, month, 1), epoch(year, month + 1, 1))
 
-    @classmethod
-    def for_months(cls, year: int, first: int, last: int) -> "Period":
-        """Consecutive months ``first..last`` (inclusive) of one year."""
-        if not 1 <= first <= last <= 12:
-            raise ValueError(f"bad month range {first}..{last}")
-        return cls(cls.for_month(year, first).start, cls.for_month(year, last).end)
-
     @property
     def duration(self) -> float:
         """Length of the period in seconds."""
@@ -136,10 +113,6 @@ class Period:
     def contains(self, ts: float) -> bool:
         """True when ``ts`` falls inside the half-open interval."""
         return self.start <= ts < self.end
-
-    def clamp(self, ts: float) -> float:
-        """Clip a timestamp into the interval (end-exclusive by epsilon)."""
-        return min(max(ts, self.start), self.end - 1e-6)
 
 
 #: The paper's observation windows.

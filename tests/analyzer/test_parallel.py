@@ -23,6 +23,7 @@ from repro.analyzer.parallel import (
 )
 from repro.analyzer.pipeline import WeblogAnalyzer
 from repro.trace.simulate import SimulationConfig, simulate_dataset
+from tests.analyzer.reference import per_user_cleartext_totals
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +107,8 @@ class TestParallelEquivalence:
 
     def test_per_user_totals_identical(self, sequential, parallel4):
         assert (
-            parallel4.per_user_cleartext_totals()
-            == sequential.per_user_cleartext_totals()
+            per_user_cleartext_totals(parallel4)
+            == per_user_cleartext_totals(sequential)
         )
 
     def test_user_aggregates_match(self, sequential, parallel4):

@@ -10,8 +10,9 @@ from urllib.parse import parse_qsl, urlparse
 import numpy as np
 import pytest
 
-from repro.analyzer.interests import PublisherDirectory, infer_interests
+from repro.analyzer.interests import PublisherDirectory
 from repro.analyzer.pipeline import WeblogAnalyzer
+from tests.analyzer.reference import per_user_cleartext_totals
 from repro.trace.simulate import simulate_dataset, small_config
 
 
@@ -82,9 +83,10 @@ class TestMetadataRecovery:
             i.record.notification.impression_id: i.record.request.context
             for i in dataset.impressions
         }
+        users = {u.user_id: u for u in dataset.users}
         for det, obs in zip(analysis.notifications, analysis.observations):
             imp_id = det.parsed.params.get("imp_id")
-            user = dataset.user_by_id(obs.user_id)
+            user = users[obs.user_id]
             if user.device.os in ("Android", "iOS"):
                 assert obs.context == truth[imp_id]
 
@@ -122,7 +124,7 @@ class TestAggregations:
         assert np.mean(groups["app"]) > 1.5 * np.mean(groups["web"])
 
     def test_per_user_totals_positive(self, analysis):
-        totals = analysis.per_user_cleartext_totals()
+        totals = per_user_cleartext_totals(analysis)
         assert totals
         assert all(v > 0 for v in totals.values())
 
@@ -172,13 +174,13 @@ class TestAggregationRegressions:
                 self._obs(price=None, encrypted=True),
             ]
         )
-        assert result.per_user_cleartext_totals() == {"u1": 5.5}
+        assert per_user_cleartext_totals(result) == {"u1": 5.5}
 
     def test_per_user_totals_all_missing_prices(self):
         # Filter semantics match cleartext_prices(): a user with only
         # unparseable cleartext prices contributes no entry at all.
         result = self._result([self._obs(price=None)])
-        assert result.per_user_cleartext_totals() == {}
+        assert per_user_cleartext_totals(result) == {}
 
     def test_empty_result_rtb_shares(self):
         """entity_rtb_shares on an empty analysis must return {} like
@@ -194,7 +196,7 @@ class TestAggregationRegressions:
         result = self._result([])
         assert result.monthly_pair_encryption() == {}
         assert result.monthly_os_counts() == {}
-        assert result.per_user_cleartext_totals() == {}
+        assert per_user_cleartext_totals(result) == {}
 
 
 class TestInterestInference:

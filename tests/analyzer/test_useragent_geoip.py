@@ -107,8 +107,3 @@ class TestGeoIpResolver:
         resolver = GeoIpResolver(table={"10.1": ("Testville", "XX")})
         assert resolver.lookup("10.1.2.3").city == "Testville"
         assert not resolver.lookup("85.10.1.1").resolved
-
-    def test_known_networks_sorted(self):
-        networks = GeoIpResolver().known_networks()
-        assert networks == sorted(networks)
-        assert len(networks) == len(CITIES)

@@ -154,11 +154,6 @@ class TestCampaignExecution:
             assert fresh.policy.is_encrypted(adx, PROBE_DSP_NAME, ts)
         assert not fresh.policy.is_encrypted("MoPub", PROBE_DSP_NAME, ts)
 
-    def test_impressions_per_setup_accounting(self, a1):
-        counts = a1.impressions_per_setup()
-        assert sum(counts.values()) == len(a1.impressions)
-        assert len(counts) == 144
-
 
 class TestReportRow:
     def _request(self):

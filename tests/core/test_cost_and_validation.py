@@ -31,22 +31,12 @@ class TestUserCost:
     def test_total_uses_corrected_cleartext(self):
         cost = self.make()
         assert cost.total_cpm == pytest.approx(10.0 * 1.2 + 5.0)
-        assert cost.total_uncorrected_cpm == pytest.approx(15.0)
 
     def test_averages(self):
         cost = self.make()
         assert cost.avg_cleartext_cpm == pytest.approx(0.5)
         assert cost.avg_encrypted_cpm == pytest.approx(1.0)
         assert cost.n_impressions == 25
-
-    def test_uplift(self):
-        cost = self.make(clr=10, enc=6, tc=1.0)
-        assert cost.encrypted_uplift == pytest.approx(0.6)
-
-    def test_uplift_with_no_cleartext(self):
-        cost = UserCost("u", 0.0, 0.0, 3.0, 0, 2)
-        assert cost.encrypted_uplift == float("inf")
-        assert UserCost("u", 0.0, 0.0, 0.0, 0, 0).encrypted_uplift == 0.0
 
 
 class TestCostDistribution:
@@ -65,10 +55,6 @@ class TestCostDistribution:
         dist = CostDistribution.from_costs(self.make_costs())
         assert dist.fraction_below(100) == pytest.approx(0.5)
         assert dist.fraction_in(1000, 10_000) == pytest.approx(0.25)
-
-    def test_uplift_mean(self):
-        dist = CostDistribution.from_costs(self.make_costs())
-        assert dist.average_encrypted_uplift() > 0
 
 
 class TestMarketFactors:

@@ -62,4 +62,3 @@ class TestExchangeRevenue:
             assert revenue.n_encrypted >= 0
             if revenue.n_encrypted == 0:
                 assert revenue.encrypted_estimated_cpm == 0.0
-            assert revenue.total_usd == pytest.approx(revenue.total_cpm / 1000.0)

@@ -46,7 +46,7 @@ class TestTraining:
         rows = campaign.feature_rows()
         prices = campaign.prices()
         y = model.binner.assign(prices)
-        pred = model.predict_class(rows)
+        pred = Estimator(model).estimate(rows).classes
         assert (pred == y).mean() > 0.8
 
     def test_estimate_correlates_with_truth(self, campaign, model):

@@ -98,14 +98,6 @@ class TestYourAdValue:
         assert "Advertisers paid" in headline
         assert "CPM" in headline
 
-    def test_notifications_drain(self, environment, client):
-        dataset, _, _ = environment
-        user = busiest_user(dataset)
-        client.observe_many(rows_for_user(dataset, user))
-        first = client.drain_notifications()
-        assert first
-        assert client.drain_notifications() == []
-
     def test_content_rows_ignored(self, environment, client):
         dataset, _, _ = environment
         content = [r for r in dataset.rows if r.kind == "content"][:200]

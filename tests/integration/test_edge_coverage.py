@@ -6,22 +6,6 @@ import pytest
 
 from repro.cli import main
 from repro.io import read_observations_csv, save_model_package
-from repro.util.timeutil import days_in_month, day_name, epoch
-
-
-class TestTimeutilEdges:
-    def test_days_in_month(self):
-        assert days_in_month(2015, 2) == 28
-        assert days_in_month(2016, 2) == 29
-        assert days_in_month(2015, 12) == 31
-
-    def test_day_names_cycle(self):
-        # 2015-01-05 is a Monday; the week advances by one day per day.
-        names = [day_name(epoch(2015, 1, 5 + i)) for i in range(7)]
-        assert names == [
-            "Monday", "Tuesday", "Wednesday", "Thursday", "Friday",
-            "Saturday", "Sunday",
-        ]
 
 
 class TestIoEdges:

@@ -9,10 +9,10 @@ from repro.analyzer.interests import PublisherDirectory
 from repro.analyzer.pipeline import WeblogAnalyzer
 from repro.cli import main
 from repro.io import (
+    iter_weblog_csv,
     load_model_package,
     read_directory_csv,
     read_observations_csv,
-    read_weblog_csv,
     save_model_package,
     write_directory_csv,
     write_observations_csv,
@@ -35,7 +35,7 @@ class TestWeblogRoundtrip:
     def test_plain_csv(self, dataset, tmp_path):
         path = tmp_path / "weblog.csv"
         count = write_weblog_csv(dataset.rows, path)
-        rows = read_weblog_csv(path)
+        rows = list(iter_weblog_csv(path))
         assert count == len(dataset.rows) == len(rows)
         assert rows[0] == dataset.rows[0]
         assert rows[-1] == dataset.rows[-1]
@@ -46,13 +46,13 @@ class TestWeblogRoundtrip:
         with gzip.open(path, "rt") as handle:
             header = handle.readline()
         assert header.startswith("timestamp,")
-        assert read_weblog_csv(path) == dataset.rows[:50]
+        assert list(iter_weblog_csv(path)) == dataset.rows[:50]
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,user_id\n1.0,u1\n")
         with pytest.raises(ValueError, match="missing columns"):
-            read_weblog_csv(path)
+            list(iter_weblog_csv(path))
 
 
 class TestObservationsRoundtrip:

@@ -2,10 +2,9 @@
 
 Property: for any weblog — including URLs and user agents containing
 commas, quotes, newlines, and unicode — ``write_weblog_csv`` followed
-by either the materialising reader (``read_weblog_csv``), the streaming
-reader (``iter_weblog_csv``), or the chunked reader
-(``read_weblog_chunks``) reproduces the rows exactly, for both plain
-and gzipped files.
+by either the streaming reader (``iter_weblog_csv``) or the chunked
+reader (``read_weblog_chunks``) reproduces the rows exactly, for both
+plain and gzipped files.
 """
 
 import pytest
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from repro.io import (
     iter_weblog_csv,
     read_weblog_chunks,
-    read_weblog_csv,
     write_weblog_csv,
 )
 from repro.trace.weblog import HttpRequest
@@ -65,14 +63,14 @@ class TestWeblogRoundtripProperties:
         path = tmp_path / f"weblog{suffix}"
         count = write_weblog_csv(rows, path)
         assert count == len(rows)
-        assert read_weblog_csv(path) == rows
+        assert list(iter_weblog_csv(path)) == rows
 
     @given(rows=_weblogs)
     @_SETTINGS
     def test_iter_equals_read(self, rows, suffix, tmp_path):
         path = tmp_path / f"weblog{suffix}"
         write_weblog_csv(rows, path)
-        assert list(iter_weblog_csv(path)) == read_weblog_csv(path) == rows
+        assert list(iter_weblog_csv(path)) == rows
 
     @given(rows=_weblogs, chunk_size=st.integers(min_value=1, max_value=30))
     @_SETTINGS
@@ -121,5 +119,5 @@ class TestStreamingReaderEdges:
     def test_empty_weblog_round_trips(self, tmp_path):
         path = tmp_path / "weblog.csv.gz"
         assert write_weblog_csv([], path) == 0
-        assert read_weblog_csv(path) == []
+        assert list(iter_weblog_csv(path)) == []
         assert list(read_weblog_chunks(path)) == []

@@ -118,6 +118,5 @@ class TestBinnerProperties:
         if len(set(sample)) < 4:
             return
         binner = fit_price_binner(sample, n_classes=4)
-        lower = binner.assign_one(probe)
-        higher = binner.assign_one(probe * 3.0)
+        lower, higher = binner.assign([probe, probe * 3.0])
         assert higher >= lower

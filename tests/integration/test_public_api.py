@@ -1,12 +1,28 @@
-"""Public-API integrity: every exported name must resolve and be real."""
+"""Public-API integrity: every exported name must resolve, be real,
+and be reached by something other than the tests."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+REPO = Path(__file__).resolve().parents[2]
+
+#: Trees whose code counts as a product path for the reach scan.
+PRODUCT_TREES = ("src", "benchmarks", "perfbench", "examples")
+
+#: Public top-level names kept although no product path reaches them.
+UNREACHED_ALLOWLIST = {
+    "decrypt_price": "test oracle: the tests read encrypted tokens back with it",
+    "count_url_params": "library API for URLs from outside the simulator",
+    "read_observations_csv": "library API that validates an outside CSV",
+    "read_weblog_chunks": "bounded-memory reader for logs too large to hold",
+}
 
 PACKAGES = (
     "repro",
@@ -76,3 +92,59 @@ def test_runtime_imports_leave_scipy_out():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def _public_definitions(src: Path) -> dict[str, str]:
+    """``{name: "file:line"}`` for every public top-level def and class."""
+    found = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not node.name.startswith("_"):
+                found[node.name] = f"{path.relative_to(REPO)}:{node.lineno}"
+    return found
+
+
+def _references(roots) -> Counter:
+    """Name uses across ``roots``, not counting definitions, package
+    ``__init__`` imports and ``__all__`` entries.  A string that names an
+    attribute path (``"Dsp.respond"``, as the perfbench shims patch by
+    name) counts for each of its parts."""
+    uses: Counter = Counter()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            is_init = path.name == "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    uses[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    uses[node.attr] += 1
+                elif is_init:
+                    continue
+                elif isinstance(node, ast.alias):
+                    uses[node.name.rsplit(".", 1)[-1]] += 1
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    parts = node.value.split(".")
+                    if all(part.isidentifier() for part in parts):
+                        uses.update(parts)
+    return uses
+
+
+def test_every_public_name_is_reached_outside_tests():
+    """Code that only tests call is a second way to do a job; delete it,
+    move it to ``tests/`` as a double or oracle, or allowlist it with a
+    reason."""
+    definitions = _public_definitions(REPO / "src" / "repro")
+    uses = _references(REPO / tree for tree in PRODUCT_TREES)
+    unreached = sorted(
+        f"{where}: {name}"
+        for name, where in definitions.items()
+        if not uses[name] and name not in UNREACHED_ALLOWLIST
+    )
+    assert not unreached, "reached only from tests/:\n" + "\n".join(unreached)
+    stale = sorted(
+        name for name in UNREACHED_ALLOWLIST
+        if name not in definitions or uses[name]
+    )
+    assert not stale, f"allowlisted names now gone or reached: {stale}"

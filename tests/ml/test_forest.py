@@ -71,13 +71,11 @@ class TestForestClassifier:
         forest.fit(x, y)
         assert forest.oob_score_ is not None
         assert 0.7 < forest.oob_score_ <= 1.0
-        assert forest.oob_error_ == pytest.approx(1.0 - forest.oob_score_)
 
     def test_oob_none_without_flag(self):
         x, y = _data(100)
         forest = RandomForestClassifier(n_estimators=5, seed=0).fit(x, y)
         assert forest.oob_score_ is None
-        assert forest.oob_error_ is None
 
     def test_feature_importances_normalised(self):
         x, y = _data()

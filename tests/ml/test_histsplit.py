@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.campaigns import run_campaign_a1
+from repro.core.estimator import Estimator
 from repro.core.pme import PAPER_FEATURE_SET
 from repro.core.price_model import EncryptedPriceModel
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
@@ -261,8 +262,8 @@ class TestPriceModelHist:
         # Packages never see bin codes: the loaded forest is plain
         # FlatTree arrays and estimates identically.
         loaded = EncryptedPriceModel.from_package(model.to_package())
-        a = model.predict_class(rows[:20])
-        b = loaded.predict_class(rows[:20])
+        a = Estimator(model).estimate(rows[:20]).classes
+        b = Estimator(loaded).estimate(rows[:20]).classes
         assert np.array_equal(a, b)
 
     def test_cross_validate_inherits_hist(self):

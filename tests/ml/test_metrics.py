@@ -9,7 +9,6 @@ from repro.ml.metrics import (
     accuracy,
     classification_report,
     confusion_matrix,
-    mean_absolute_error,
     mean_squared_error,
     r2_score,
     roc_auc_ovr_weighted,
@@ -119,7 +118,6 @@ class TestRegressionMetrics:
         y, p = [0, 0, 0, 0], [1, 1, 1, 1]
         assert mean_squared_error(y, p) == 1.0
         assert root_mean_squared_error(y, p) == 1.0
-        assert mean_absolute_error(y, p) == 1.0
 
     def test_r2_perfect_and_mean(self):
         y = [1.0, 2.0, 3.0]

@@ -6,7 +6,6 @@ import pytest
 from repro.ml.preprocessing import (
     CorrelationFilter,
     FrameEncoder,
-    OneHotEncoder,
     OrdinalEncoder,
     Standardizer,
     VarianceFilter,
@@ -32,25 +31,6 @@ class TestOrdinalEncoder:
     def test_vocabulary(self):
         enc = OrdinalEncoder().fit([["a", "b"]])
         assert enc.vocabulary(0) == {"a": 0, "b": 1}
-
-
-class TestOneHotEncoder:
-    def test_expansion(self):
-        enc = OneHotEncoder().fit([["a", "b", "a"]])
-        out = enc.transform([["a", "b"]])
-        assert out.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-
-    def test_unknown_category_all_zeros(self):
-        enc = OneHotEncoder().fit([["a", "b"]])
-        assert enc.transform([["z"]]).tolist() == [[0.0, 0.0]]
-
-    def test_feature_names(self):
-        enc = OneHotEncoder().fit([["a", "b"], ["x"]])
-        assert enc.feature_names(["c1", "c2"]) == ["c1=a", "c1=b", "c2=x"]
-
-    def test_n_output_features(self):
-        enc = OneHotEncoder().fit([["a", "b", "c"], ["x", "y"]])
-        assert enc.n_output_features == 5
 
 
 class TestStandardizer:

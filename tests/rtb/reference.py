@@ -9,14 +9,22 @@ the straightforward versions it must agree with bit for bit:
   rendered by ``urlencode(params, quote_via=quote)``;
 * :func:`reference_parse_nurl` -- ``parse_nurl`` on urllib's
   ``urlparse`` and ``parse_qsl`` for every query.
+
+It also holds the test doubles the RTB tests build markets from:
+:class:`FixedBidEngine`, a constant bidder, and :func:`always_cleartext`,
+a policy under which no pair ever encrypts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
 from urllib.parse import parse_qsl, quote, urlencode, urlparse
 
 from repro.rtb.bidding import Dsp
+from repro.rtb.campaign import Campaign
+from repro.rtb.exchange import PairEncryptionPolicy
 from repro.rtb.nurl import (
     CHARGE_PRICE_PARAMS,
     FORMATS,
@@ -26,6 +34,28 @@ from repro.rtb.nurl import (
 )
 from repro.rtb.pricecrypto import looks_like_encrypted_price
 from repro.rtb.openrtb import Bid, BidRequest, BidResponse
+
+
+@dataclass
+class FixedBidEngine:
+    """Bid a constant CPM on every eligible request."""
+
+    bid_cpm: float
+
+    def __post_init__(self) -> None:
+        if self.bid_cpm <= 0:
+            raise ValueError("bid_cpm must be positive")
+
+    def price_bid(self, request: BidRequest, campaign: Campaign,
+                  rng) -> float | None:
+        return min(self.bid_cpm, campaign.max_bid_cpm)
+
+
+def always_cleartext(adxs: list[str], dsps: list[str]) -> PairEncryptionPolicy:
+    """Every pair sends cleartext forever."""
+    return PairEncryptionPolicy(
+        adoption={pair: None for pair in itertools.product(adxs, dsps)}
+    )
 
 
 def reference_respond(dsp: Dsp, request: BidRequest) -> BidResponse:

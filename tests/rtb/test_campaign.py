@@ -3,12 +3,7 @@
 import pytest
 
 from repro.rtb.adslots import AdSlotSize
-from repro.rtb.campaign import (
-    Campaign,
-    TargetingSpec,
-    campaign_daypart,
-    clone_for_adx,
-)
+from repro.rtb.campaign import Campaign, TargetingSpec, campaign_daypart
 from repro.rtb.openrtb import BidRequest, Device, Geo, Impression, UserInfo
 from repro.util.timeutil import epoch
 
@@ -87,12 +82,6 @@ class TestTargetingSpec:
         assert spec.matches(match)
         assert not spec.matches(make_request())
 
-    def test_clone_for_adx(self):
-        spec = TargetingSpec(cities=frozenset({"Madrid"}), adxs=frozenset({"OpenX"}))
-        clone = clone_for_adx(spec, "MoPub")
-        assert clone.adxs == frozenset({"MoPub"})
-        assert clone.cities == spec.cities
-
 
 class TestCampaign:
     def test_budget_accounting(self):
@@ -104,13 +93,6 @@ class TestCampaign:
         campaign.record_win(5.0)
         assert campaign.exhausted
         assert not campaign.eligible_for(make_request())
-
-    def test_average_cpm(self):
-        campaign = Campaign("c1", "adv")
-        campaign.record_win(1.0)
-        campaign.record_win(3.0)
-        assert campaign.average_cpm == pytest.approx(2.0)
-        assert Campaign("c2", "adv").average_cpm == 0.0
 
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError):

@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from repro.rtb.adslots import AdSlotSize
-from repro.rtb.bidding import CampaignIndex, Dsp, FeatureBidEngine, FixedBidEngine
+from repro.rtb.bidding import CampaignIndex, Dsp, FeatureBidEngine
 from repro.rtb.campaign import CAMPAIGN_DAYPARTS, Campaign, TargetingSpec
 from repro.rtb.openrtb import BidRequest, Device, Geo, Impression, UserInfo
 from repro.util.rng import stream
 from repro.util.timeutil import epoch
-from tests.rtb.reference import reference_respond
+from tests.rtb.reference import FixedBidEngine, reference_respond
 
 ADXS = ("MoPub", "Rubicon", "OpenX", "DoubleClick")
 CITIES = ("Madrid", "Barcelona", "Valencia", "Sevilla")

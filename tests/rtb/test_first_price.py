@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rtb.auction import run_first_price_auction, run_second_price_auction
-from repro.rtb.bidding import Dsp, FixedBidEngine
+from repro.rtb.bidding import Dsp
 from repro.rtb.campaign import Campaign
-from repro.rtb.exchange import AdExchange, PairEncryptionPolicy
+from repro.rtb.exchange import AdExchange
 from repro.rtb.openrtb import Bid
 from repro.util.rng import stream
+from tests.rtb.reference import FixedBidEngine, always_cleartext
 
 
 def bid(dsp, price):
@@ -54,7 +55,7 @@ class TestExchangeMechanism:
             Dsp("D1", FixedBidEngine(2.0), stream("fp1"), [Campaign("c1", "a")]),
             Dsp("D2", FixedBidEngine(1.0), stream("fp2"), [Campaign("c2", "a")]),
         ]
-        policy = PairEncryptionPolicy.always_cleartext(["MoPub"], ["D1", "D2"])
+        policy = always_cleartext(["MoPub"], ["D1", "D2"])
         from tests.rtb.test_bidding_exchange import make_request
 
         return adx.run_auction(make_request(), dsps, policy)

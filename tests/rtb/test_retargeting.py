@@ -10,6 +10,7 @@ from repro.rtb.cookiesync import synced_uid
 from repro.rtb.openrtb import BidRequest, Device, Geo, Impression, UserInfo
 from repro.util.rng import stream
 from repro.util.timeutil import epoch
+from tests.rtb.reference import FixedBidEngine, always_cleartext
 
 DSP = "Retargeter"
 
@@ -84,7 +85,7 @@ class TestRetargetingEngine:
         response_out = dsp.respond(make_request("u2"))
         assert len(response_in.bids) == 1
         assert response_in.bids[0].price_cpm == pytest.approx(3.0)
-        assert response_out.is_no_bid
+        assert not response_out.bids
 
 
 class TestRetargetingInMarket:
@@ -92,8 +93,7 @@ class TestRetargetingInMarket:
         """The mechanism behind the paper's encrypted-premium hypothesis:
         retargeting demand raises the charge prices of targeted users."""
         from repro.rtb.auction import run_second_price_auction
-        from repro.rtb.bidding import FixedBidEngine
-        from repro.rtb.exchange import AdExchange, PairEncryptionPolicy
+        from repro.rtb.exchange import AdExchange
 
         adx = AdExchange("MoPub", stream("m1"))
         base = Dsp("Base", FixedBidEngine(1.0), stream("m2"),
@@ -104,7 +104,7 @@ class TestRetargetingInMarket:
             DSP, engine_for(["hot"], boost=3.0), stream("m4"),
             [Campaign("r", "shop")],
         )
-        policy = PairEncryptionPolicy.always_cleartext(
+        policy = always_cleartext(
             ["MoPub"], ["Base", "Base2", DSP]
         )
         hot = adx.run_auction(make_request("hot"), [base, base2, retargeter], policy)

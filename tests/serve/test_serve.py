@@ -18,7 +18,7 @@ from repro.core.estimator import Estimator
 from repro.core.pme import PriceModelingEngine
 from repro.core.price_model import EncryptedPriceModel
 from repro.serve import PmeServer
-from repro.serve.loadgen import Connection, request_once, run_load
+from repro.serve.loadgen import Connection, run_load
 from repro.trace.simulate import build_market, small_config
 from repro.util.rng import RngRegistry, derive_seed
 
@@ -43,6 +43,15 @@ def synthetic_rows(n: int, seed: int = 5) -> tuple[list[dict], list[float]]:
         rows.append(row)
     prices = np.exp(rng.normal(0.0, 1.0, size=n)).tolist()
     return rows, prices
+
+
+async def request_once(host, port, method, path, body=None, headers=None):
+    """One-shot request: open a connection, send, close."""
+    conn = Connection(host, port)
+    try:
+        return await conn.request(method, path, body=body, headers=headers)
+    finally:
+        await conn.close()
 
 
 def registry_of(metrics: dict) -> dict:
@@ -652,4 +661,97 @@ class TestHotReload:
             package=package,
             contributions=ContributionServer(k_anonymity=2),
             retrain_min_new_rows=5,
+        )
+
+    def test_failed_retrain_keeps_serving_and_waits_for_new_rows(
+        self, pme_with_campaign, feature_rows, monkeypatch, caplog
+    ):
+        """A retrain that raises installs nothing, is counted as failed,
+        and is not retried until another floor of rows is releasable."""
+        attempts = []
+
+        def broken_retrain(rows, prices, workers=1):
+            attempts.append(len(rows))
+            raise RuntimeError("retrain blew up")
+
+        monkeypatch.setattr(
+            pme_with_campaign, "retrain_with_contributions", broken_retrain
+        )
+
+        async def contribute(server, token, n, rng):
+            response = await request_once(
+                "127.0.0.1", server.port, "POST", "/contribute",
+                body=json.dumps(
+                    {
+                        "contributor_token": token,
+                        "records": [contribution_record(rng) for _ in range(n)],
+                    }
+                ).encode(),
+            )
+            assert response.status == 200
+
+        async def settled_metrics(server, timeout=60.0):
+            deadline = asyncio.get_running_loop().time() + timeout
+            while asyncio.get_running_loop().time() < deadline:
+                metrics = (
+                    await request_once(
+                        "127.0.0.1", server.port, "GET", "/metrics"
+                    )
+                ).json()
+                if not metrics["retrain"]["in_progress"]:
+                    return metrics
+                await asyncio.sleep(0.01)
+            raise AssertionError("retrain never settled")
+
+        async def scenario(server):
+            installed = await request_once(
+                "127.0.0.1", server.port, "GET", "/model"
+            )
+            direct = Estimator.from_package(
+                json.loads(installed.body.decode())
+            ).estimate_one(feature_rows[0])
+
+            # The second token releases 16 rows: past the floor of 10.
+            rng = np.random.default_rng(3)
+            for token in (101, 202):
+                await contribute(server, token, 8, rng)
+            metrics = await settled_metrics(server)
+            retrains = registry_of(metrics)["serve.retrains"]
+            assert retrains["series"] == {"outcome=failed": 1}
+            assert attempts == [16]
+            assert metrics["retrain"]["rows_at_last_retrain"] == 16
+            assert "retrain blew up" in caplog.text
+
+            served = (
+                await request_once(
+                    "127.0.0.1", server.port, "POST", "/estimate",
+                    body=estimate_body(feature_rows[0]),
+                )
+            )
+            assert served.status == 200
+            assert served.json()["model_version"] == 1
+            assert served.json()["estimated_cpm"] == direct
+
+            # Eight more rows stay below the next floor: no new attempt.
+            await contribute(server, 303, 8, rng)
+            metrics = await settled_metrics(server)
+            assert metrics["contributions"]["releasable"] == 24
+            assert attempts == [16]
+            assert registry_of(metrics)["serve.retrains"]["total"] == 1
+            assert metrics["model"]["version"] == 1
+
+            # Two more reach 16 + 10 releasable rows: one retry.
+            await contribute(server, 404, 2, rng)
+            metrics = await settled_metrics(server)
+            assert attempts == [16, 26]
+            retrains = registry_of(metrics)["serve.retrains"]
+            assert retrains["series"] == {"outcome=failed": 2}
+            assert metrics["model"]["version"] == 1
+            return True
+
+        assert serve(
+            scenario,
+            pme=pme_with_campaign,
+            contributions=ContributionServer(k_anonymity=2),
+            retrain_min_new_rows=10,
         )

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.stats.descriptive import (
     Cdf,
     fraction_below,
-    fraction_between,
-    geometric_mean,
     summarize,
     summarize_groups,
 )
@@ -81,27 +79,12 @@ class TestCdf:
         cdf = Cdf.from_sample(values)
         assert cdf.evaluate(cdf.quantile(p)) >= p
 
-    def test_at_levels(self):
-        cdf = Cdf.from_sample([1, 2, 3, 4])
-        assert cdf.at_levels([2, 4]) == [(2.0, 0.5), (4.0, 1.0)]
-
 
 class TestFractions:
     def test_fraction_below(self):
         assert fraction_below([1, 2, 3, 4], 3) == pytest.approx(0.5)
 
-    def test_fraction_between(self):
-        assert fraction_between([1, 2, 3, 4], 2, 4) == pytest.approx(0.5)
-
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             fraction_below([], 1)
 
-
-class TestGeometricMean:
-    def test_known(self):
-        assert geometric_mean([1, 100]) == pytest.approx(10.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])

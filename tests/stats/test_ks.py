@@ -28,13 +28,13 @@ class TestKsStatistic:
         a = rng.normal(0, 1, 500)
         b = rng.normal(0.6, 1, 500)
         result = ks_two_sample(a, b)
-        assert result.significant(0.001)
+        assert result.pvalue < 0.001
 
     def test_same_distribution_usually_not_significant(self):
         rng = np.random.default_rng(1)
         a = rng.normal(0, 1, 400)
         b = rng.normal(0, 1, 400)
-        assert not ks_two_sample(a, b).significant(0.001)
+        assert not ks_two_sample(a, b).pvalue < 0.001
 
     @settings(max_examples=30, deadline=None)
     @given(

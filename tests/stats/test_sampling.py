@@ -65,4 +65,3 @@ class TestCampaignSizing:
         assert sizing.n_setups == 144
         assert sizing.setup_margin == pytest.approx(0.35, abs=0.01)
         assert sizing.impressions_per_campaign == 185
-        assert sizing.total_impressions == 144 * 185

@@ -1,28 +1,8 @@
 """Tests for the text chart renderer."""
 
 import numpy as np
-import pytest
 
-from repro.stats.textplot import cdf_plot, hbar, percentile_box
-
-
-class TestHbar:
-    def test_longest_bar_is_max(self):
-        lines = hbar({"a": 1.0, "b": 4.0}, width=20)
-        assert len(lines) == 2
-        assert lines[1].count("█") == 20
-        assert lines[0].count("█") == 5
-
-    def test_empty(self):
-        assert hbar({}) == []
-
-    def test_zero_values_no_crash(self):
-        lines = hbar({"a": 0.0})
-        assert "0.000" in lines[0]
-
-    def test_accepts_sequence(self):
-        lines = hbar([("x", 2.0), ("y", 1.0)])
-        assert lines[0].startswith("x")
+from repro.stats.textplot import cdf_plot, percentile_box
 
 
 class TestCdfPlot:

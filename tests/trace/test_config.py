@@ -1,13 +1,8 @@
-"""Tests for simulation configuration scaling and caching."""
+"""Tests for simulation configuration scaling."""
 
 import pytest
 
-from repro.trace.simulate import (
-    SimulationConfig,
-    cached_dataset,
-    default_config,
-    small_config,
-)
+from repro.trace.simulate import default_config, small_config
 
 
 class TestConfigScaling:
@@ -38,23 +33,3 @@ class TestConfigScaling:
         b = small_config(seed=1)
         assert hash(a) == hash(b)
         assert a == b
-
-
-class TestCachedDataset:
-    def test_same_config_same_object(self):
-        config = SimulationConfig(
-            n_users=12, target_auctions=120, n_web_publishers=15,
-            n_app_publishers=8, n_advertisers=4, seed=77,
-        )
-        first = cached_dataset(config)
-        second = cached_dataset(config)
-        assert first is second
-
-    def test_different_config_different_object(self):
-        base = dict(
-            n_users=12, target_auctions=120, n_web_publishers=15,
-            n_app_publishers=8, n_advertisers=4,
-        )
-        a = cached_dataset(SimulationConfig(seed=78, **base))
-        b = cached_dataset(SimulationConfig(seed=79, **base))
-        assert a is not b

@@ -15,9 +15,7 @@ from repro.trace.geography import (
     CITIES,
     CITIES_BY_SIZE,
     City,
-    assign_ip,
     city_by_name,
-    city_for_ip,
     population_weights,
 )
 
@@ -62,22 +60,6 @@ class TestCities:
             City("X", 0, 1.0, 0.1, 10)
         with pytest.raises(ValueError):
             City("X", 100, 1.0, 0.1, 300)
-
-
-class TestIpGeocoding:
-    def test_assign_and_reverse(self):
-        rng = np.random.default_rng(0)
-        for city in CITIES:
-            ip = assign_ip(city, rng)
-            assert city_for_ip(ip) == city
-
-    def test_unknown_block_returns_none(self):
-        assert city_for_ip("8.8.8.8") is None
-        assert city_for_ip("85.250.1.1") is None
-
-    def test_garbage_returns_none(self):
-        assert city_for_ip("") is None
-        assert city_for_ip("85.x.1.1") is None
 
 
 class TestDevices:

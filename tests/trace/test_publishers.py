@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.rtb.iab import DATASET_CATEGORIES
-from repro.trace.publishers import (
-    build_universe,
-    sample_slot_size,
-    slot_weights_for,
-)
+from repro.trace.pricing import months_since_2015
+from repro.trace.publishers import _slot_weights, build_universe, sample_slot_size
 from repro.util.rng import stream
 from repro.util.timeutil import epoch
+
+
+def slot_weights_for(ts, device_type):
+    """The slot mix ``sample_slot_size`` draws from at time ``ts``."""
+    return _slot_weights(device_type, months_since_2015(ts))
 
 
 class TestUniverse:
@@ -29,12 +31,6 @@ class TestUniverse:
         universe = build_universe(stream("u3"), n_web=200, n_app=50)
         for pub in universe.publishers:
             assert pub.iab_category in DATASET_CATEGORIES
-
-    def test_by_category_filter(self):
-        universe = build_universe(stream("u4"), n_web=200, n_app=80)
-        news_web = universe.by_category("IAB12", is_app=False)
-        assert news_web
-        assert all(p.iab_category == "IAB12" and not p.is_app for p in news_web)
 
     def test_popularity_zipf_like(self):
         universe = build_universe(stream("u5"), n_web=100, n_app=10)

@@ -6,7 +6,6 @@ from repro.rtb.exchange import PairEncryptionPolicy
 from repro.trace.publishers import build_universe
 from repro.trace.weblog import (
     KIND_CONTENT,
-    KIND_NURL,
     HttpRequest,
     UserTrafficStats,
     Weblog,
@@ -64,15 +63,6 @@ class TestWeblog:
         weblog.add_row(make_row(ts=1.0))
         weblog.finalize()
         assert [r.timestamp for r in weblog.rows] == [1.0, 5.0]
-
-    def test_nurl_rows_filter(self, weblog):
-        weblog.add_row(make_row(kind=KIND_NURL))
-        weblog.add_row(make_row())
-        assert len(list(weblog.nurl_rows())) == 1
-
-    def test_user_by_id_missing_raises(self, weblog):
-        with pytest.raises(KeyError):
-            weblog.user_by_id("ghost")
 
     def test_summary_on_empty(self, weblog):
         summary = weblog.summary()

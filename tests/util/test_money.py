@@ -4,23 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.money import (
-    cpm_to_micros,
-    cpm_to_per_impression,
-    format_cpm,
-    format_usd,
-    micros_to_cpm,
-    per_impression_to_cpm,
-)
+from repro.util.money import cpm_to_micros, format_cpm, format_usd, micros_to_cpm
 
 
 class TestConversions:
-    def test_cpm_to_per_impression(self):
-        assert cpm_to_per_impression(2.5) == pytest.approx(0.0025)
-
-    def test_per_impression_roundtrip(self):
-        assert per_impression_to_cpm(cpm_to_per_impression(1.23)) == pytest.approx(1.23)
-
     def test_micros_known_value(self):
         assert cpm_to_micros(0.95) == 950_000
         assert micros_to_cpm(950_000) == pytest.approx(0.95)

@@ -1,23 +1,18 @@
 """Tests for the simulation calendar helpers."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.util.timeutil import (
     CAMPAIGN_A1_PERIOD,
     CAMPAIGN_A2_PERIOD,
     DATASET_PERIOD,
-    TIME_OF_DAY_BUCKETS,
     Period,
-    day_name,
     day_of_week,
     epoch,
     from_epoch,
     hour_of,
     is_weekend,
     month_of,
-    time_of_day_bucket,
     year_of,
 )
 
@@ -37,18 +32,11 @@ class TestEpochConversions:
     def test_known_weekday(self):
         # 2015-01-01 was a Thursday.
         assert day_of_week(epoch(2015, 1, 1)) == 3
-        assert day_name(epoch(2015, 1, 1)) == "Thursday"
 
     def test_weekend_detection(self):
         assert is_weekend(epoch(2015, 1, 3))        # Saturday
         assert is_weekend(epoch(2015, 1, 4))        # Sunday
         assert not is_weekend(epoch(2015, 1, 5))    # Monday
-
-    @given(st.integers(min_value=0, max_value=23))
-    def test_time_of_day_bucket_covers_all_hours(self, hour):
-        bucket = time_of_day_bucket(epoch(2015, 3, 10, hour))
-        assert bucket in TIME_OF_DAY_BUCKETS
-        assert bucket == TIME_OF_DAY_BUCKETS[hour // 4]
 
 
 class TestPeriod:
@@ -62,14 +50,6 @@ class TestPeriod:
         dec = Period.for_month(2015, 12)
         assert dec.days == 31
 
-    def test_months_range(self):
-        q1 = Period.for_months(2015, 1, 3)
-        assert q1.days == 31 + 28 + 31
-
-    def test_invalid_month_range_raises(self):
-        with pytest.raises(ValueError):
-            Period.for_months(2015, 5, 3)
-
     def test_contains_is_half_open(self):
         p = Period.for_month(2015, 1)
         assert p.contains(p.start)
@@ -78,12 +58,6 @@ class TestPeriod:
     def test_reversed_period_raises(self):
         with pytest.raises(ValueError):
             Period(10.0, 5.0)
-
-    def test_clamp(self):
-        p = Period(0.0, 100.0)
-        assert p.clamp(-5) == 0.0
-        assert p.clamp(50) == 50.0
-        assert p.clamp(200) < 100.0
 
     def test_paper_windows(self):
         assert DATASET_PERIOD.days == 365
