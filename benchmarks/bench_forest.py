@@ -25,8 +25,9 @@ Reports, as one JSON record (``BENCH_forest.json``):
   (the oracles of ``tests/ml/reference.py``) against the whole-forest
   arena walk, the forest's only inference path -- over >= 50k rows
   through a 60-tree, depth-18 forest (the paper's production shape);
-* a batch-size sweep (1, 32 and 8,192 rows) of the arena against the
-  per-tree loop, identical probabilities asserted at every size;
+* a batch-size sweep (1, 2, 32, 1,025 and 8,192 rows) of the arena
+  against the per-tree loop, identical probabilities asserted at every
+  size;
 * ``speedup_vs_per_row`` / ``speedup_vs_per_tree`` /
   ``speedup_vs_sequential`` so the acceptance bars (arena >= 5x per-row
   recursion, and not slower than the per-tree loop) are visible in the
@@ -274,9 +275,10 @@ def _render_train(record: dict) -> list[str]:
 # arena.
 
 #: Batch sizes of the arena-vs-per-tree sweep: one row (a YourAdValue
-#: estimate), a serve micro-batch, and a batch spanning eight arena
-#: blocks.
-SWEEP_ROWS = (1, 32, 8_192)
+#: estimate), two rows (a serve micro-batch at two sockets), a serve
+#: micro-batch at load, one row past a full arena block (a one-row
+#: second block), and a batch spanning eight arena blocks.
+SWEEP_ROWS = (1, 2, 32, 1_025, 8_192)
 
 
 def _per_row_proba(forest: RandomForestClassifier, x: np.ndarray) -> np.ndarray:

@@ -16,12 +16,15 @@ time_correction``: the probability matrix is computed once and classes
 and prices are derived from it, so batched, chunked and single-row
 estimates are bit-identical.
 
-Observability: every call runs under a local ``estimator.estimate``
-trace with ``estimator.encode`` / ``forest.inference`` /
-``estimator.time_correction`` child spans.  When an outer trace is
-active (a serve micro-batch flush, ``repro pipeline``), the local spans
-nest directly under the caller's current span, so a request trace shows
-the estimator's internal phase split without any extra wiring.
+Observability: every :meth:`Estimator.estimate` call runs under a
+local ``estimator.estimate`` trace with ``estimator.encode`` /
+``forest.inference`` / ``estimator.time_correction`` child spans.  When
+an outer trace is active (a serve micro-batch flush, ``repro
+pipeline``), the local spans nest directly under the caller's current
+span, so a request trace shows the estimator's internal phase split
+without any extra wiring.  :meth:`Estimator.estimate_one`, the
+per-notification path of the YourAdValue client, opens none of these;
+only the forest's own ``forest.predict_proba`` span records it.
 """
 
 from __future__ import annotations
@@ -148,12 +151,7 @@ class Estimator:
             else:
                 proba = np.zeros((0, model.binner.n_classes), dtype=float)
             with obs.span("estimator.time_correction", tc=model.time_correction):
-                classes = (
-                    np.argmax(proba, axis=1)
-                    if proba.shape[0]
-                    else np.zeros(0, dtype=int)
-                )
-                prices = model.binner.estimate(classes) * model.time_correction
+                classes, prices = self._prices(proba)
             st.set(mean_cpm=float(prices.mean()) if len(prices) else 0.0)
             spans: tuple[dict, ...] = ()
             if collector is not None:
@@ -167,8 +165,23 @@ class Estimator:
         )
 
     def estimate_one(self, row: Mapping[str, Hashable]) -> float:
-        """Scalar convenience: the CPM estimate for one feature row."""
-        return self.estimate([row]).price_of(0)
+        """Scalar convenience: the CPM estimate for one feature row.
+
+        The scoring of :meth:`estimate` without what only a batch needs:
+        no ``estimator.estimate`` stage, span capture or
+        :class:`EstimateResult`.  Under an active trace the forest's own
+        ``forest.predict_proba`` span still records.
+        """
+        model = self.model
+        proba = model.forest.predict_proba(model.encoder.transform([row]))
+        _, prices = self._prices(proba)
+        return float(prices[0])
+
+    def _prices(self, proba: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted classes and time-corrected CPMs of probability rows."""
+        model = self.model
+        classes = np.argmax(proba, axis=1)
+        return classes, model.binner.estimate(classes) * model.time_correction
 
     def explain(self, row: Mapping[str, Hashable]) -> dict:
         """The user-facing "why this price?" payload for one row.

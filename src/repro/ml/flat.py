@@ -22,10 +22,15 @@ a per-row walk performs at every visit (:func:`leaf_probabilities`).
 
 A forest scores through one :class:`FlatForest` arena: every member
 tree's arrays concatenated, with child ids offset and one root id per
-tree.  One walk advances all ``(row, tree)`` pairs together, so a
-forest call costs ``O(depth)`` interpreter steps instead of ``O(trees
-x depth)``; at one row -- the YourAdValue client's case -- numpy
-dispatch is the whole cost, and the arena cuts it by the tree count.
+tree.  Each arena leaf's ``left`` and ``right`` point at the leaf
+itself, so a ``(row, tree)`` pair that has reached its leaf stays there
+whatever its comparison gives (NaN thresholds included).  The walk
+therefore needs no active set: it takes exactly ``depth`` steps -- the
+deepest tree's depth, found once when the arena is built -- and each
+step advances every pair with one gather-compare-select.  A forest call
+costs ``O(depth)`` interpreter steps instead of ``O(trees x depth)``;
+at one row -- the YourAdValue client's case -- numpy dispatch is the
+whole cost, and the arena cuts it by the tree count.
 """
 
 from __future__ import annotations
@@ -92,23 +97,13 @@ class FlatTree:
     def n_nodes(self) -> int:
         return int(self.feature.shape[0])
 
-    @property
-    def n_outputs(self) -> int:
-        return int(self.value.shape[1])
-
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.feature < 0))
 
     def depth(self) -> int:
         """Longest root-to-leaf edge count (a lone leaf has depth 0)."""
-        level = np.zeros(1, dtype=np.int64)
-        depth = 0
-        while True:
-            level = level[self.feature[level] >= 0]
-            if not level.size:
-                return depth
-            level = np.concatenate((self.left[level], self.right[level]))
-            depth += 1
+        return _depth(self.feature, self.left, self.right,
+                      np.zeros(1, dtype=np.intp))
 
     def decision_path(self, row: np.ndarray) -> list[tuple[int, float, bool]]:
         """The ``(feature, threshold, went_left)`` steps of one row."""
@@ -156,19 +151,21 @@ class FlatForest:
 
     Tree ``t``'s nodes occupy ids ``roots[t]`` up to (not including)
     ``roots[t + 1]``; child ids are offset by the same amount, so one
-    walk can follow any tree.  Built once per fit or load, from the
-    trees' :class:`FlatTree` arrays, and never mutated; the owning
-    forest then points each tree's ``feature``, ``threshold`` and
-    ``value`` at its slice, so those columns are stored once.
+    walk can follow any tree, and a leaf's children are the leaf
+    itself.  Built once per fit or load, from the trees'
+    :class:`FlatTree` arrays, and never mutated; the owning forest then
+    points each tree's ``feature``, ``threshold`` and ``value`` at its
+    slice, so those columns are stored once.
     """
 
     feature: np.ndarray      # (n_nodes,) int32, -1 at leaves
-    threshold: np.ndarray    # (n_nodes,) float64
-    left: np.ndarray         # (n_nodes,) intp, offset child ids
-    right: np.ndarray        # (n_nodes,) intp
+    threshold: np.ndarray    # (n_nodes,) float64, nan at leaves
+    left: np.ndarray         # (n_nodes,) intp, offset ids; a leaf's own id
+    right: np.ndarray        # (n_nodes,) intp, likewise
     value: np.ndarray        # (n_nodes, n_outputs) float64
     roots: np.ndarray        # (n_trees,) intp, root id of each tree
-    internal: np.ndarray     # (n_nodes,) bool, ``feature >= 0``
+    split: np.ndarray        # (n_nodes,) intp copy of ``feature``, 0 at leaves
+    depth: int               # deepest member tree's depth
 
     @classmethod
     def from_trees(cls, trees: Sequence[FlatTree]) -> "FlatForest":
@@ -178,19 +175,25 @@ class FlatForest:
         offset = np.repeat(roots, sizes)
         feature = np.concatenate([tree.feature for tree in trees])
         internal = feature >= 0
+        own = np.arange(feature.shape[0], dtype=np.intp)
 
         def children(side: str) -> np.ndarray:
             ids = np.concatenate([getattr(tree, side) for tree in trees])
-            return np.where(internal, ids + offset, -1).astype(np.intp)
+            return np.where(internal, ids + offset, own).astype(np.intp)
 
+        left = children("left")
+        right = children("right")
         return cls(
             feature=feature,
             threshold=np.concatenate([tree.threshold for tree in trees]),
-            left=children("left"),
-            right=children("right"),
+            left=left,
+            right=right,
             value=np.concatenate([tree.value for tree in trees]),
             roots=roots,
-            internal=internal,
+            # Gathering with an intp index skips the conversion numpy
+            # makes of an int32 one at every walk step.
+            split=np.maximum(feature, 0).astype(np.intp),
+            depth=_depth(feature, left, right, roots),
         )
 
     @property
@@ -200,32 +203,31 @@ class FlatForest:
     def _leaves(self, x: np.ndarray) -> np.ndarray:
         """Arena leaf id per ``(tree, row)`` of one block: ``(trees, rows)``.
 
-        The same level-synchronous step as :meth:`FlatTree.apply`, over
-        every pair at once; ``x`` is indexed flat, by ``row *
-        n_features + feature``.  Pairs are laid out tree by tree, so
-        consecutive gathers hit one tree's nodes (~10% faster than row
-        by row at 1,024 rows).
+        Exactly :attr:`depth` steps of ``x[row, split] <= threshold``,
+        the comparison a per-row descent makes (NaN compares false and
+        routes right); a pair already at its leaf loops back to it.
+        ``x`` is indexed flat, by ``row * n_features + feature``, and
+        the row offset is added only when the block has two or more
+        rows.  Pairs are laid out tree by tree, so consecutive gathers
+        hit one tree's nodes (~10% faster than row by row at 1,024
+        rows).
         """
         n_rows, n_features = x.shape
-        n_trees = self.n_trees
-        feature = self.feature
+        split = self.split
         threshold = self.threshold
         left = self.left
         right = self.right
-        internal = self.internal
         flat_x = x.ravel()
         node = np.repeat(self.roots, n_rows)
-        row_base = np.tile(np.arange(0, n_rows * n_features, n_features),
-                           n_trees)
-        active = np.flatnonzero(internal[node])
-        while active.size:
-            current = node[active]
-            go_left = (flat_x[row_base[active] + feature[current]]
-                       <= threshold[current])
-            nxt = np.where(go_left, left[current], right[current])
-            node[active] = nxt
-            active = active[internal[nxt]]
-        return node.reshape(n_trees, n_rows)
+        row_base = (np.tile(np.arange(0, n_rows * n_features, n_features),
+                            self.n_trees) if n_rows > 1 else None)
+        for _ in range(self.depth):
+            index = split[node]
+            if row_base is not None:
+                index += row_base
+            node = np.where(flat_x[index] <= threshold[node],
+                            left[node], right[node])
+        return node.reshape(-1, n_rows)
 
     def _blocks(self, x: np.ndarray):
         """``(row slice, leaves)`` per block of ``_BLOCK_ROWS`` rows."""
@@ -264,6 +266,23 @@ class FlatForest:
                 total = np.add.accumulate(leaf_rows, axis=0)[-1]
             out[rows] = total / n_trees
         return out
+
+
+def _depth(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
+           roots: np.ndarray) -> int:
+    """Longest root-to-leaf edge count below any of ``roots``.
+
+    One level-synchronous pass: each level keeps its internal nodes and
+    steps to their children, so a lone leaf has depth 0.
+    """
+    level = roots
+    depth = 0
+    while True:
+        level = level[feature[level] >= 0]
+        if not level.size:
+            return depth
+        level = np.concatenate((left[level], right[level]))
+        depth += 1
 
 
 def leaf_probabilities(counts: np.ndarray, n_classes: int) -> np.ndarray:

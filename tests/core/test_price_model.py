@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.campaigns import run_campaign_a1
 from repro.core.estimator import Estimator
 from repro.core.price_model import EncryptedPriceModel, regression_baseline
@@ -129,6 +130,29 @@ class TestTimeCorrectionRoundTrip:
         rows = campaign.feature_rows()[:32]
         batch = estimator.estimate(rows).prices
         assert [estimator.estimate_one(r) for r in rows] == list(batch)
+
+    def test_estimate_one_matches_batch_on_unseen_categories(self, campaign,
+                                                            model):
+        # Values the encoder never saw at fit encode as -1; the lean
+        # single-row path must price them exactly as the batch does.
+        package = model.to_package()
+        package["time_correction"] = 0.83
+        estimator = Estimator(EncryptedPriceModel.from_package(package))
+        rows = [
+            dict(row, city="Atlantis", slot_size="1x1", adx=None)
+            if i % 2 else dict(row, publisher_iab="IAB99", os="Plan9")
+            for i, row in enumerate(campaign.feature_rows()[:16])
+        ]
+        batch = estimator.estimate(rows).prices
+        assert [estimator.estimate_one(r) for r in rows] == list(batch)
+
+    def test_estimate_one_records_the_forest_span(self, campaign, model):
+        estimator = Estimator(model)
+        with obs.start_trace("observe") as trace:
+            estimator.estimate_one(campaign.feature_rows()[0])
+        names = [record.name for record in trace.records]
+        assert "forest.predict_proba" in names
+        assert "estimator.estimate" not in names
 
     def test_explain_one_reports_corrected_price(self, campaign, model):
         package = model.to_package()

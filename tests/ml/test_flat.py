@@ -51,7 +51,7 @@ class TestCompilation:
         flat = tree.flat_
         assert isinstance(flat, FlatTree)
         assert flat.n_nodes == 2 * tree.n_leaves() - 1
-        assert flat.n_outputs == tree.n_classes_
+        assert flat.value.shape[1] == tree.n_classes_
         # Leaves carry no children; internals always carry both, with
         # ids greater than their own.
         leaves = flat.feature < 0
@@ -179,7 +179,7 @@ class TestRegressorFlat:
         tree = DecisionTreeRegressor().fit(np.zeros((3, 1)), np.full(3, 1.5))
         flat = tree.flat_
         assert flat.n_nodes == 1
-        assert flat.n_outputs == 1
+        assert flat.value.shape[1] == 1
         assert flat.predict_value(np.zeros((2, 1)))[0, 0] == 1.5
 
 
@@ -339,3 +339,85 @@ class TestForestArena:
         batched = forest.predict_proba(x)
         for i in range(0, 200, 7):
             assert np.array_equal(forest.predict_proba(x[i]), batched[i:i + 1])
+
+
+# -- the fixed-depth walk against the per-row oracle -------------------------
+
+def _per_row_leaves(forest, x):
+    """Each tree's leaf id per row by pointer chasing: ``(rows, trees)``."""
+    return np.array([[leaf_for(tree, row) for tree in forest.trees_]
+                     for row in x], dtype=np.int64)
+
+
+@pytest.fixture(scope="module")
+def mixed_forest():
+    # Deep trees interleaved with lone leaves, so most (row, tree) pairs
+    # sit at their leaf for most of the walk's steps.
+    x, y = _data(800, seed=13)
+    mixed = RandomForestClassifier(n_estimators=5, seed=7).fit(x, y)
+    deep = list(mixed.trees_)
+    lone = [DecisionTreeClassifier().fit(x, np.full(len(x), label),
+                                         n_classes=mixed.n_classes_)
+            for label in (1, 0, 2)]
+    mixed._set_trees([lone[0], deep[0], deep[1], lone[1], deep[2],
+                      deep[3], deep[4], lone[2]])
+    return mixed
+
+
+def _on_thresholds(model, x, seed):
+    """``x`` with about half its cells moved onto a split threshold of
+    their feature, so the walk meets ``x == threshold`` ties."""
+    arena = model.flat_
+    rng = np.random.default_rng(seed)
+    x = x.copy()
+    for f in range(x.shape[1]):
+        cuts = arena.threshold[arena.feature == f]
+        hit = rng.random(x.shape[0]) < 0.5
+        x[hit, f] = rng.choice(cuts, size=int(hit.sum()))
+    return x
+
+
+@pytest.mark.tier1
+class TestFixedDepthWalk:
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_leaves_match_per_row_descent(self, forest, n):
+        x = _on_thresholds(forest, _queries(n, seed=40 + n), n)
+        assert np.array_equal(forest.apply(x), _per_row_leaves(forest, x))
+        assert np.array_equal(forest.predict_proba(x),
+                              forest_proba(forest, x, proba_per_row))
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK_ROWS + 1])
+    def test_lone_leaves_beside_deep_trees(self, mixed_forest, n):
+        depths = [tree.depth() for tree in mixed_forest.trees_]
+        assert min(depths) == 0 and max(depths) >= 8
+        x = _queries(n, seed=50 + n)
+        leaves = mixed_forest.apply(x)
+        assert np.array_equal(leaves, _per_row_leaves(mixed_forest, x))
+        assert np.all(leaves[:, [0, 3, 7]] == 0)
+        assert np.array_equal(mixed_forest.predict_proba(x),
+                              forest_proba(mixed_forest, x, proba_per_row))
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK_ROWS + 1])
+    def test_nan_inputs_match_per_row_descent(self, mixed_forest, n):
+        x = _queries(n, seed=60 + n)
+        rng = np.random.default_rng(n)
+        x[rng.random(x.shape) < 0.3] = np.nan
+        x[0] = np.nan
+        assert np.array_equal(mixed_forest.apply(x),
+                              _per_row_leaves(mixed_forest, x))
+        assert np.array_equal(mixed_forest.predict_proba(x),
+                              forest_proba(mixed_forest, x, proba_per_row))
+
+    @pytest.mark.parametrize("name", ["forest", "mixed_forest"])
+    def test_depth_and_self_looping_leaves(self, request, name):
+        model = request.getfixturevalue(name)
+        arena = model.flat_
+        assert arena.depth == max(tree.depth() for tree in model.trees_)
+        leaves = np.flatnonzero(arena.feature < 0)
+        assert np.array_equal(arena.left[leaves], leaves)
+        assert np.array_equal(arena.right[leaves], leaves)
+        internal = np.flatnonzero(arena.feature >= 0)
+        assert np.all(arena.left[internal] > internal)
+        assert np.all(arena.right[internal] > internal)
+        assert arena.split.dtype == np.intp
+        assert np.array_equal(arena.split[internal], arena.feature[internal])
