@@ -5,8 +5,8 @@ groups) for higher granularity of price prediction, but the results
 with 4 classes outperformed them."
 """
 
+from repro.core.estimator import Estimator
 from repro.core.pme import PAPER_FEATURE_SET
-from repro.core.price_model import EncryptedPriceModel
 
 from .conftest import emit
 
@@ -34,7 +34,7 @@ def test_ablation_class_count(benchmark, campaign_a1):
     def evaluate():
         scores = {}
         for k in CLASS_COUNTS:
-            model = EncryptedPriceModel.train(
+            model = Estimator.train(
                 rows, prices, feature_names=names, n_classes=k, seed=99,
                 n_estimators=30,
             )

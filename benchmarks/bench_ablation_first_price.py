@@ -12,8 +12,8 @@ and (b) the price classifier still trains to comparable accuracy.
 import numpy as np
 
 from repro.core.campaigns import run_campaign_a2
+from repro.core.estimator import Estimator
 from repro.core.pme import PAPER_FEATURE_SET
-from repro.core.price_model import EncryptedPriceModel
 from repro.trace.simulate import build_market, small_config
 from repro.util.rng import RngRegistry
 
@@ -30,7 +30,7 @@ def test_ablation_first_price(benchmark):
                 exchange.mechanism = mechanism
             campaign = run_campaign_a2(market, seed=77, auctions_per_setup=20)
             rows = campaign.feature_rows()
-            model = EncryptedPriceModel.train(
+            model = Estimator.train(
                 rows,
                 list(campaign.prices()),
                 feature_names=list(PAPER_FEATURE_SET) + ["os"],

@@ -8,8 +8,8 @@ justification for the sample-size arithmetic.
 
 import numpy as np
 
+from repro.core.estimator import Estimator
 from repro.core.pme import PAPER_FEATURE_SET
-from repro.core.price_model import EncryptedPriceModel
 
 from .conftest import emit
 
@@ -40,7 +40,7 @@ def test_ablation_training_size(benchmark, campaign_a1):
             picks = rng.choice(len(rows), size=min(n, len(rows)), replace=False)
             sub_rows = [rows[i] for i in picks]
             sub_prices = list(prices[picks])
-            model = EncryptedPriceModel.train(
+            model = Estimator.train(
                 sub_rows, sub_prices, feature_names=names, seed=71, n_estimators=30
             )
             cv = model.cross_validate(sub_rows, sub_prices, n_folds=4, n_runs=1, seed=71)

@@ -81,7 +81,7 @@ from tests.ml.reference import (
     reference_forest,
 )
 
-#: The paper's production forest shape (section 5.4 / EncryptedPriceModel).
+#: The paper's production forest shape (section 5.4 / Estimator).
 N_ESTIMATORS = 60
 MAX_DEPTH = 18
 

@@ -11,12 +11,12 @@ only narrows the confidence band; means are stable by run 2) so the
 benchmark finishes in minutes.
 """
 
+from repro.core.estimator import Estimator
 from repro.core.pme import PAPER_FEATURE_SET
 from repro.core.price_model import (
     PAPER_AUCROC,
     PAPER_PRECISION,
     PAPER_TP_RATE,
-    EncryptedPriceModel,
     regression_baseline,
 )
 
@@ -86,10 +86,10 @@ def test_sec54_publisher_overfit(benchmark, campaign_a1):
     names = list(PAPER_FEATURE_SET) + ["os"]
 
     def evaluate():
-        base = EncryptedPriceModel.train(
+        base = Estimator.train(
             rows, prices, feature_names=names, seed=54
         ).cross_validate(rows, prices, n_folds=5, n_runs=1, seed=11)
-        with_pub = EncryptedPriceModel.train(
+        with_pub = Estimator.train(
             rows, prices, feature_names=names + ["publisher"], seed=54
         ).cross_validate(rows, prices, n_folds=5, n_runs=1, seed=11)
         return base, with_pub

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.price_model import EncryptedPriceModel
+from repro.core.estimator import Estimator
 from repro.serve import PmeServer
 from repro.serve.loadgen import run_load
 
@@ -81,7 +81,7 @@ def build_package(
         row["day_of_week"] = int(rng.integers(0, 7))
         rows.append(row)
     prices = np.exp(rng.normal(0.0, 1.0, size=train_rows)).tolist()
-    model = EncryptedPriceModel.train(
+    model = Estimator.train(
         rows, prices, n_estimators=n_estimators, max_depth=max_depth,
         seed=seed,
     )

@@ -22,8 +22,8 @@ import pytest
 from repro.analyzer.interests import PublisherDirectory
 from repro.analyzer.pipeline import WeblogAnalyzer
 from repro.core.campaigns import run_campaign_a1, run_campaign_a2
+from repro.core.estimator import Estimator
 from repro.core.pme import PAPER_FEATURE_SET, mopub_cleartext_prices
-from repro.core.price_model import EncryptedPriceModel
 from repro.core.cost import compute_user_costs
 from repro.stats.distributions import median_ratio
 from repro.trace.simulate import build_market, default_config, simulate_dataset
@@ -85,7 +85,7 @@ def campaign_a2(market, auctions_per_setup):
 def price_model(campaign_a1):
     rows = campaign_a1.feature_rows()
     names = [n for n in PAPER_FEATURE_SET] + ["os"]
-    return EncryptedPriceModel.train(
+    return Estimator.train(
         rows, list(campaign_a1.prices()), feature_names=names, seed=BENCH_SEED
     )
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.campaigns import run_campaign_a2
+from repro.core.estimator import Estimator
 from repro.core.pme import PAPER_FEATURE_SET
-from repro.core.price_model import EncryptedPriceModel
 from repro.rtb.bidding import Dsp, RetargetingEngine
 from repro.rtb.campaign import Campaign
 from repro.rtb.cookiesync import synced_uid
@@ -108,7 +108,7 @@ def first_price_study() -> None:
             exchange.mechanism = mechanism
         campaign = run_campaign_a2(market, seed=77, auctions_per_setup=15)
         rows = campaign.feature_rows()
-        model = EncryptedPriceModel.train(
+        model = Estimator.train(
             rows, list(campaign.prices()),
             feature_names=list(PAPER_FEATURE_SET) + ["os"],
             seed=77, n_estimators=20, max_depth=12,

@@ -27,7 +27,7 @@ from repro.core.campaigns import (
 )
 from repro.core.estimator import Estimator
 from repro.core.pme import PAPER_FEATURE_SET
-from repro.core.price_model import EncryptedPriceModel, regression_baseline
+from repro.core.price_model import regression_baseline
 from repro.rtb.entities import ENCRYPTING_ADXS
 from repro.stats.sampling import CampaignSizing
 from repro.trace.simulate import build_market, default_config
@@ -70,7 +70,7 @@ def main() -> None:
     print("=== 4. training the 4-class price model ===")
     rows = a1.feature_rows()
     names = list(PAPER_FEATURE_SET) + ["os"]
-    model = EncryptedPriceModel.train(
+    model = Estimator.train(
         rows, list(a1.prices()), feature_names=names, seed=42
     )
     cv = model.cross_validate(rows, list(a1.prices()), n_folds=5, n_runs=1, seed=42)
@@ -98,9 +98,8 @@ def main() -> None:
               time_of_day=5, day_of_week=3, slot_size="728x90",
               publisher_iab="IAB12", adx="Rubicon", os="iOS")),
     ]
-    estimator = Estimator(model)
     for label, features in scenarios:
-        estimate = estimator.estimate_one(features)
+        estimate = model.estimate_one(features)
         print(f"  {label:<45} -> {estimate:.2f} CPM")
 
 

@@ -20,9 +20,9 @@ from repro.core.cost import (
     compute_user_costs,
     exchange_revenue_estimates,
 )
+from repro.core.estimator import Estimator
 from repro.core.reporting import render_regulator_report
 from repro.core.pme import PAPER_FEATURE_SET, mopub_cleartext_prices
-from repro.core.price_model import EncryptedPriceModel
 from repro.core.validation import REPORTED_ARPU, validate_arpu
 from repro.stats.distributions import median_ratio
 from repro.trace.simulate import build_market, default_config, simulate_dataset
@@ -44,7 +44,7 @@ def main() -> None:
     a1 = run_campaign_a1(market, seed=11, auctions_per_setup=25)
     a2 = run_campaign_a2(market, seed=11, auctions_per_setup=25)
     rows = a1.feature_rows()
-    model = EncryptedPriceModel.train(
+    model = Estimator.train(
         rows, list(a1.prices()),
         feature_names=list(PAPER_FEATURE_SET) + ["os"], seed=11,
     )

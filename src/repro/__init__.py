@@ -23,7 +23,6 @@ Quickstart::
 """
 
 from repro.core import (
-    EncryptedPriceModel,
     Estimator,
     PriceModelingEngine,
     YourAdValue,
@@ -36,7 +35,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "PriceModelingEngine",
-    "EncryptedPriceModel",
     "Estimator",
     "YourAdValue",
     "compute_user_costs",

@@ -8,7 +8,6 @@ Table-4 feature vectors.
 """
 
 from repro.analyzer.blacklist import (
-    ALL_GROUPS,
     GROUP_ADVERTISING,
     GROUP_ANALYTICS,
     GROUP_REST,
@@ -48,7 +47,6 @@ from repro.analyzer.useragent import ParsedUserAgent, parse_user_agent
 __all__ = [
     "DomainBlacklist",
     "default_blacklist",
-    "ALL_GROUPS",
     "GROUP_ADVERTISING",
     "GROUP_ANALYTICS",
     "GROUP_SOCIAL",

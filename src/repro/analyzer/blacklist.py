@@ -22,14 +22,6 @@ GROUP_SOCIAL = "social"
 GROUP_THIRD_PARTY = "third_party"
 GROUP_REST = "rest"
 
-ALL_GROUPS = (
-    GROUP_ADVERTISING,
-    GROUP_ANALYTICS,
-    GROUP_SOCIAL,
-    GROUP_THIRD_PARTY,
-    GROUP_REST,
-)
-
 
 @dataclass
 class DomainBlacklist:

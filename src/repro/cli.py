@@ -171,9 +171,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     from repro.core.estimator import Estimator
 
-    if args.chunk_size is not None and args.chunk_size < 1:
-        print("error: --chunk-size must be >= 1", file=sys.stderr)
-        return 2
     package = load_model_package(args.model)
     estimator = Estimator.from_package(package)
     if args.features_file:
@@ -199,9 +196,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         # Batch scoring: one encode + one vectorised pass through the
-        # forest arena, not a per-row loop.  --chunk-size bounds
-        # rows per pass (memory control); results are identical.
-        result = estimator.estimate(features, chunk_size=args.chunk_size)
+        # forest arena, not a per-row loop.
+        result = estimator.estimate(features)
         print(
             json.dumps(
                 {
@@ -364,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--features-file",
                        help="path to a JSON file holding one feature object "
                             "or an array of them (batch scoring)")
-    p_est.add_argument("--chunk-size", type=int, default=None,
-                       help="rows encoded + scored per pass in batch mode "
-                            "(memory bound; results identical)")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_obs = sub.add_parser(

@@ -61,7 +61,6 @@ from repro.core.price_model import (
     PAPER_PRECISION,
     PAPER_RECALL,
     PAPER_TP_RATE,
-    EncryptedPriceModel,
     RegressionBaselineResult,
     regression_baseline,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "PmeState",
     "PAPER_FEATURE_SET",
     "mopub_cleartext_prices",
-    "EncryptedPriceModel",
     "Estimator",
     "EstimateResult",
     "regression_baseline",

@@ -15,12 +15,6 @@ import numpy as np
 
 from repro.analyzer.pipeline import AnalysisResult, PriceObservation
 from repro.core.estimator import Estimator
-from repro.core.price_model import EncryptedPriceModel
-
-
-def _as_estimator(model: EncryptedPriceModel | Estimator) -> Estimator:
-    """Accept either the raw model or the facade; estimate via the facade."""
-    return model if isinstance(model, Estimator) else Estimator(model)
 
 
 @dataclass(frozen=True)
@@ -80,12 +74,12 @@ def observation_features(obs: PriceObservation) -> dict:
 
 def compute_user_costs(
     analysis: AnalysisResult,
-    model: EncryptedPriceModel | Estimator,
+    estimator: Estimator,
     time_correction: float = 1.0,
 ) -> dict[str, UserCost]:
     """Tally every user's C_u and estimate their E_u.
 
-    Encrypted estimates are batched through the estimation facade for
+    Encrypted estimates are batched through one estimate call for
     speed; the time-correction coefficient scales cleartext sums from
     the weblog's year to campaign time (paper section 6.2).
     """
@@ -100,7 +94,7 @@ def compute_user_costs(
     encrypted_obs = analysis.encrypted()
     if encrypted_obs:
         rows = [observation_features(o) for o in encrypted_obs]
-        estimates = _as_estimator(model).estimate(rows).prices
+        estimates = estimator.estimate(rows).prices
         for obs, estimate in zip(encrypted_obs, estimates):
             encrypted_sum[obs.user_id] += float(estimate)
             encrypted_n[obs.user_id] += 1
@@ -177,7 +171,7 @@ class ExchangeRevenue:
 
 def exchange_revenue_estimates(
     analysis: AnalysisResult,
-    model: EncryptedPriceModel | Estimator,
+    estimator: Estimator,
 ) -> dict[str, ExchangeRevenue]:
     """Estimate every exchange's revenue from observed notifications.
 
@@ -197,7 +191,7 @@ def exchange_revenue_estimates(
     encrypted_obs = analysis.encrypted()
     if encrypted_obs:
         rows = [observation_features(o) for o in encrypted_obs]
-        estimates = _as_estimator(model).estimate(rows).prices
+        estimates = estimator.estimate(rows).prices
         for obs, estimate in zip(encrypted_obs, estimates):
             enc_sum[obs.adx] += float(estimate)
             enc_n[obs.adx] += 1
@@ -216,7 +210,7 @@ def exchange_revenue_estimates(
 
 def estimation_accuracy(
     analysis: AnalysisResult,
-    model: EncryptedPriceModel | Estimator,
+    estimator: Estimator,
     true_prices_by_token: dict[str, float],
 ) -> dict[str, float]:
     """Score encrypted estimates against simulator ground truth.
@@ -232,13 +226,12 @@ def estimation_accuracy(
     if not encrypted_obs:
         raise ValueError("no encrypted observations with known ground truth")
     rows = [observation_features(o) for o in encrypted_obs]
-    estimator = _as_estimator(model)
     result = estimator.estimate(rows)
     estimates = result.prices
     truths = np.array(
         [true_prices_by_token[o.encrypted_token] for o in encrypted_obs]
     )
-    true_classes = estimator.model.binner.assign(truths)
+    true_classes = estimator.binner.assign(truths)
     pred_classes = result.classes
     abs_log_err = np.abs(np.log(estimates) - np.log(truths))
     return {

@@ -71,9 +71,6 @@ class CostBounds:
     def upper(self) -> float:
         return self.cpm_assumption
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
 
 def cost_bounds(
     cpm_assumption_cost: float,

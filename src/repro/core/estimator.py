@@ -1,187 +1,229 @@
-"""The estimation facade: the one entry point for price estimates.
+"""The fitted price model: the one entry point for price estimates.
 
-:class:`Estimator` wraps a fitted
-:class:`repro.core.price_model.EncryptedPriceModel`:
+:class:`Estimator` is the paper's section-5.4 encrypted-price model: a
+Random Forest classifier over 4 log-price classes, trained on probe
+campaign ground truth, estimating each encrypted notification's price
+as the representative (median) CPM of the predicted class.
 
+* :meth:`Estimator.train` fits it; :meth:`Estimator.to_package` /
+  :meth:`Estimator.from_package` round-trip the JSON model package the
+  PME ships to YourAdValue clients (selected features, category
+  vocabulary, the tree ensemble and class representatives -- everything
+  needed to estimate prices client-side with no training code).
 * :meth:`Estimator.estimate` takes a batch of feature rows and returns
-  an :class:`EstimateResult` carrying everything in one pass: per-row
-  CPM estimates, predicted classes, the full class-probability matrix,
-  the time-correction coefficient, and the observability spans
-  recorded while computing them.
+  an :class:`EstimateResult`: per-row CPM estimates and predicted
+  classes.
 * :meth:`Estimator.explain` produces the user-facing "why this price?"
   payload.
 
 The price of a row is ``binner.estimate(argmax(proba)) *
 time_correction``: the probability matrix is computed once and classes
-and prices are derived from it, so batched, chunked and single-row
-estimates are bit-identical.
+and prices are derived from it, so batched and single-row estimates are
+bit-identical.
 
-Observability: every :meth:`Estimator.estimate` call runs under a
-local ``estimator.estimate`` trace with ``estimator.encode`` /
+Observability: every :meth:`Estimator.estimate` call runs under an
+``estimator.estimate`` stage with ``estimator.encode`` /
 ``forest.inference`` / ``estimator.time_correction`` child spans.  When
 an outer trace is active (a serve micro-batch flush, ``repro
-pipeline``), the local spans nest directly under the caller's current
-span, so a request trace shows the estimator's internal phase split
-without any extra wiring.  :meth:`Estimator.estimate_one`, the
-per-notification path of the YourAdValue client, opens none of these;
-only the forest's own ``forest.predict_proba`` span records it.
+pipeline``), they nest directly under the caller's current span, so a
+request trace shows the estimator's internal phase split without any
+extra wiring.  :meth:`Estimator.estimate_one`, the per-notification
+path of the YourAdValue client, opens none of these; only the forest's
+own ``forest.predict_proba`` span records it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.price_model import EncryptedPriceModel
-from repro.util.validation import require_positive
+from repro.core.binning import PriceBinner, fit_price_binner
+from repro.ml.forest import RandomForestClassifier
+from repro.ml.model_selection import CrossValidationResult, cross_validate_classifier
+from repro.ml.preprocessing import FrameEncoder
+from repro.ml.serialize import forest_from_dict, forest_to_dict
+from repro.util.rng import derive_seed
 
 __all__ = ["EstimateResult", "Estimator"]
 
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """One batch estimation: prices, classes, probabilities, spans.
-
-    ``prices`` is the time-corrected CPM estimate per row; ``classes`` the predicted price class
-    per row; ``proba`` the ``(n_rows, n_classes)`` forest probability
-    matrix; ``time_correction`` the multiplicative drift coefficient
-    already applied to ``prices``; ``spans`` the finished span records
-    (flat dicts, JSON-serialisable) of the internal phases.
-    """
+    """One batch estimation: ``prices`` is the time-corrected CPM
+    estimate per row, ``classes`` the predicted price class per row."""
 
     prices: np.ndarray
     classes: np.ndarray
-    proba: np.ndarray
-    time_correction: float
-    spans: tuple[dict, ...] = field(default=())
 
     def __len__(self) -> int:
         return int(self.prices.shape[0])
 
-    def price_of(self, index: int) -> float:
-        """The scalar CPM estimate for one row."""
-        return float(self.prices[index])
 
-    def to_dict(self) -> dict:
-        """JSON-friendly form (serve responses, CLI output)."""
-        return {
-            "prices": [float(p) for p in self.prices],
-            "classes": [int(c) for c in self.classes],
-            "proba": [[float(p) for p in row] for row in self.proba],
-            "time_correction": float(self.time_correction),
-        }
-
-
+@dataclass
 class Estimator:
-    """Facade over a fitted :class:`EncryptedPriceModel`.
+    """A fitted price model: features -> estimated CPM.
 
-    Wraps (does not copy) the model: hot-reloading a new package means
-    building a new ``Estimator`` around the new model, which is what
-    :func:`repro.serve.store.build_snapshot` does.
+    ``time_correction`` is the PME's section-6.2 drift coefficient: a
+    multiplicative correction applied to every CPM estimate.  A model
+    trained in-process carries the neutral ``1.0``; a model loaded from
+    a PME package (:meth:`from_package`) carries whatever coefficient
+    the PME stamped into the package, so packaged-then-loaded models
+    produce time-corrected estimates everywhere -- the YourAdValue
+    ledger, the serve ``/estimate`` path, batch scoring.
     """
 
-    __slots__ = ("model",)
+    feature_names: list[str]
+    encoder: FrameEncoder
+    binner: PriceBinner
+    forest: RandomForestClassifier
+    time_correction: float = 1.0
 
-    def __init__(self, model: EncryptedPriceModel):
-        if not isinstance(model, EncryptedPriceModel):
-            raise TypeError(
-                f"Estimator wraps an EncryptedPriceModel, got {type(model).__name__}"
-            )
-        self.model = model
+    @classmethod
+    def train(
+        cls,
+        feature_rows: Sequence[Mapping[str, Hashable]],
+        prices: Sequence[float],
+        feature_names: Sequence[str] | None = None,
+        n_classes: int = 4,
+        n_estimators: int = 60,
+        max_depth: int = 18,
+        seed: int = 0,
+        workers: int | None = 1,
+    ) -> "Estimator":
+        """Fit the binner, encoder and forest on campaign ground truth.
+
+        ``workers`` parallelises forest training across a process pool
+        (one member tree per task); any value is bit-identical to
+        ``workers=1`` -- see :class:`repro.ml.forest.RandomForestClassifier`.
+        """
+        if len(feature_rows) != len(prices):
+            raise ValueError("feature_rows and prices lengths differ")
+        if len(feature_rows) < 10:
+            raise ValueError("need at least 10 training impressions")
+        names = (
+            list(feature_names)
+            if feature_names is not None
+            else sorted({k for row in feature_rows for k in row})
+        )
+        binner = fit_price_binner(list(prices), n_classes=n_classes)
+        y = binner.assign(list(prices))
+        encoder = FrameEncoder(names)
+        x = encoder.fit_transform(list(feature_rows))
+        forest = RandomForestClassifier(
+            n_estimators=n_estimators,
+            max_depth=max_depth,
+            min_samples_leaf=2,
+            oob_score=True,
+            seed=derive_seed(seed, "price-forest"),
+            workers=workers,
+        )
+        forest.fit(x, y)
+        return cls(feature_names=names, encoder=encoder, binner=binner, forest=forest)
+
+    # -- evaluation --------------------------------------------------------
+
+    def cross_validate(
+        self,
+        feature_rows: Sequence[Mapping[str, Hashable]],
+        prices: Sequence[float],
+        n_folds: int = 10,
+        n_runs: int = 10,
+        seed: int = 0,
+        workers: int | None = 1,
+    ) -> CrossValidationResult:
+        """The paper's 10-fold x 10-run CV protocol on the same data."""
+        y = self.binner.assign(list(prices))
+        x = self.encoder.transform(list(feature_rows))
+        forest_params = dict(
+            n_estimators=self.forest.n_estimators,
+            max_depth=self.forest.max_depth,
+            min_samples_leaf=self.forest.min_samples_leaf,
+            seed=derive_seed(seed, "cv-forest"),
+            workers=workers,
+        )
+        return cross_validate_classifier(
+            lambda: RandomForestClassifier(**forest_params),
+            x,
+            y,
+            n_folds=n_folds,
+            n_runs=n_runs,
+            seed=seed,
+        )
+
+    # -- serialisation -----------------------------------------------------
+
+    def to_package(self, version: int = 1) -> dict:
+        """The JSON model package shipped to YourAdValue clients."""
+        return {
+            "kind": "yav_price_model",
+            "version": version,
+            "feature_names": list(self.feature_names),
+            "time_correction": float(self.time_correction),
+            "encoder": self.encoder.to_dict(),
+            "binner": self.binner.to_dict(),
+            "forest": forest_to_dict(self.forest),
+        }
 
     @classmethod
     def from_package(cls, payload: dict) -> "Estimator":
-        """Build the facade straight from a YourAdValue model package."""
-        return cls(EncryptedPriceModel.from_package(payload))
+        """Rebuild the model from a package, coefficient included.
 
-    # -- convenience passthroughs ------------------------------------------
-
-    @property
-    def feature_names(self) -> list[str]:
-        return self.model.feature_names
-
-    @property
-    def time_correction(self) -> float:
-        return self.model.time_correction
-
-    def to_package(self, version: int = 1) -> dict:
-        return self.model.to_package(version=version)
+        The PME stamps ``time_correction`` into every package
+        (:meth:`repro.core.pme.PriceModelingEngine.package_model`); it
+        must survive the round trip or every client-side estimate is
+        silently un-corrected (the pre-PR-3 bug).  Packages written
+        before the field existed default to the neutral 1.0.
+        """
+        if payload.get("kind") != "yav_price_model":
+            raise ValueError("not a YourAdValue model package")
+        correction = float(payload.get("time_correction", 1.0))
+        if not correction > 0:
+            raise ValueError(f"time_correction must be positive, got {correction!r}")
+        return cls(
+            feature_names=list(payload["feature_names"]),
+            encoder=FrameEncoder.from_dict(payload["encoder"]),
+            binner=PriceBinner.from_dict(payload["binner"]),
+            forest=forest_from_dict(payload["forest"]),
+            time_correction=correction,
+        )
 
     # -- estimation --------------------------------------------------------
 
-    def estimate(
-        self,
-        rows: Sequence[Mapping[str, Hashable]],
-        *,
-        chunk_size: int | None = None,
-    ) -> EstimateResult:
-        """Estimate CPMs for a batch of feature rows.
-
-        ``chunk_size`` optionally bounds how many rows are encoded and
-        routed through the forest per pass (memory control for very
-        large batches); results are bit-identical for any chunking
-        because encoding and inference are row-independent.
-        """
-        if chunk_size is not None:
-            require_positive(chunk_size, "chunk_size")
+    def estimate(self, rows: Sequence[Mapping[str, Hashable]]) -> EstimateResult:
+        """Estimate CPMs for a batch of feature rows: one encode, one
+        pass through the forest arena, one scoring step."""
         rows = list(rows)
-        model = self.model
         with obs.stage(
-            "estimator.estimate", rows=len(rows), model_features=len(model.feature_names)
+            "estimator.estimate", rows=len(rows), model_features=len(self.feature_names)
         ) as st:
-            collector = obs.active_trace()
-            mark = len(collector.records) if collector is not None else 0
-            proba_parts: list[np.ndarray] = []
-            step = chunk_size if chunk_size is not None else max(1, len(rows))
-            for lo in range(0, len(rows), step):
-                chunk = rows[lo : lo + step]
-                with obs.span("estimator.encode", rows=len(chunk)):
-                    x = model.encoder.transform(chunk)
-                with obs.span("forest.inference", rows=len(chunk)):
-                    proba_parts.append(model.forest.predict_proba(x))
-            if proba_parts:
-                proba = (
-                    proba_parts[0]
-                    if len(proba_parts) == 1
-                    else np.concatenate(proba_parts, axis=0)
-                )
-            else:
-                proba = np.zeros((0, model.binner.n_classes), dtype=float)
-            with obs.span("estimator.time_correction", tc=model.time_correction):
+            with obs.span("estimator.encode", rows=len(rows)):
+                x = self.encoder.transform(rows)
+            with obs.span("forest.inference", rows=len(rows)):
+                proba = self.forest.predict_proba(x)
+            with obs.span("estimator.time_correction", tc=self.time_correction):
                 classes, prices = self._prices(proba)
             st.set(mean_cpm=float(prices.mean()) if len(prices) else 0.0)
-            spans: tuple[dict, ...] = ()
-            if collector is not None:
-                spans = tuple(r.to_dict() for r in collector.records[mark:])
-        return EstimateResult(
-            prices=prices,
-            classes=classes,
-            proba=proba,
-            time_correction=model.time_correction,
-            spans=spans,
-        )
+        return EstimateResult(prices=prices, classes=classes)
 
     def estimate_one(self, row: Mapping[str, Hashable]) -> float:
         """Scalar convenience: the CPM estimate for one feature row.
 
         The scoring of :meth:`estimate` without what only a batch needs:
-        no ``estimator.estimate`` stage, span capture or
-        :class:`EstimateResult`.  Under an active trace the forest's own
-        ``forest.predict_proba`` span still records.
+        no ``estimator.estimate`` stage or :class:`EstimateResult`.
+        Under an active trace the forest's own ``forest.predict_proba``
+        span still records.
         """
-        model = self.model
-        proba = model.forest.predict_proba(model.encoder.transform([row]))
+        proba = self.forest.predict_proba(self.encoder.transform([row]))
         _, prices = self._prices(proba)
         return float(prices[0])
 
     def _prices(self, proba: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Predicted classes and time-corrected CPMs of probability rows."""
-        model = self.model
         classes = np.argmax(proba, axis=1)
-        return classes, model.binner.estimate(classes) * model.time_correction
+        return classes, self.binner.estimate(classes) * self.time_correction
 
     def explain(self, row: Mapping[str, Hashable]) -> dict:
         """The user-facing "why this price?" payload for one row.
@@ -190,37 +232,34 @@ class Estimator:
         probabilities, top feature importances, and the decision path of
         the first member tree.
         """
-        model = self.model
+        names = self.feature_names
         with obs.stage("estimator.explain"):
-            x = model.encoder.transform([row])
-            probs = model.forest.predict_proba(x)[0]
+            x = self.encoder.transform([row])
+            probs = self.forest.predict_proba(x)[0]
             cls = int(np.argmax(probs))
             path = [
                 {
-                    "feature": model.feature_names[feature],
+                    "feature": names[feature],
                     "threshold": threshold,
                     "went_left": went_left,
-                    "value": row.get(model.feature_names[feature]),
+                    "value": row.get(names[feature]),
                 }
-                for feature, threshold, went_left in model.forest.trees_[
+                for feature, threshold, went_left in self.forest.trees_[
                     0
                 ].decision_path(x[0])
             ]
-            importances = model.forest.feature_importances_
+            importances = self.forest.feature_importances_
             top = []
             if importances is not None:
                 order = np.argsort(importances)[::-1][:5]
                 top = [
-                    {
-                        "feature": model.feature_names[i],
-                        "importance": float(importances[i]),
-                    }
+                    {"feature": names[i], "importance": float(importances[i])}
                     for i in order
                 ]
         return {
             "predicted_class": cls,
             "estimated_cpm": float(
-                model.binner.representative(cls) * model.time_correction
+                self.binner.representative(cls) * self.time_correction
             ),
             "class_probabilities": [float(p) for p in probs],
             "top_features": top,

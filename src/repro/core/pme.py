@@ -27,8 +27,8 @@ from repro.core.campaigns import (
     run_campaign_a1,
     run_campaign_a2,
 )
+from repro.core.estimator import Estimator
 from repro.core.feature_selection import DimensionalityReducer, SelectionReport
-from repro.core.price_model import EncryptedPriceModel
 from repro.ml.model_selection import CrossValidationResult
 from repro.stats.distributions import median_ratio
 from repro.trace.simulate import MarketState
@@ -56,7 +56,7 @@ class PmeState:
     selected_features: list[str] = field(default_factory=list)
     campaign_a1: CampaignResult | None = None
     campaign_a2: CampaignResult | None = None
-    model: EncryptedPriceModel | None = None
+    model: Estimator | None = None
     evaluation: CrossValidationResult | None = None
     time_correction: float = 1.0
 
@@ -154,7 +154,7 @@ class PriceModelingEngine:
         cv_folds: int = 10,
         cv_runs: int = 10,
         workers: int | None = 1,
-    ) -> EncryptedPriceModel:
+    ) -> Estimator:
         """Fit the encrypted-price classifier on campaign ground truth.
 
         ``workers`` parallelises forest training (and the CV refits)
@@ -173,7 +173,7 @@ class PriceModelingEngine:
             n_classes=n_classes,
             workers=workers or 0,
         ):
-            model = EncryptedPriceModel.train(
+            model = Estimator.train(
                 rows,
                 prices,
                 feature_names=[n for n in names if n != "publisher"],
@@ -215,7 +215,7 @@ class PriceModelingEngine:
         """The artefact YourAdValue downloads.
 
         The package carries the PME's section-6.2 drift coefficient;
-        :meth:`EncryptedPriceModel.from_package` restores it so every
+        :meth:`Estimator.from_package` restores it so every
         client-side estimate (YourAdValue ledger entries, the serve
         ``/estimate`` path) comes out time-corrected.
         """
@@ -236,7 +236,7 @@ class PriceModelingEngine:
         contributed_prices: list[float],
         n_classes: int = 4,
         workers: int | None = 1,
-    ) -> EncryptedPriceModel:
+    ) -> Estimator:
         """Fold anonymous client contributions into a fresh model.
 
         Contributions extend (never replace) the latest campaign ground
@@ -254,7 +254,7 @@ class PriceModelingEngine:
             rows=len(rows),
             workers=workers or 0,
         ):
-            model = EncryptedPriceModel.train(
+            model = Estimator.train(
                 rows,
                 prices,
                 feature_names=[n for n in names if n != "publisher"],

@@ -23,7 +23,6 @@ from repro.analyzer.geoip import GeoIpResolver
 from repro.analyzer.interests import PublisherDirectory
 from repro.analyzer.useragent import parse_user_agent
 from repro.core.estimator import Estimator
-from repro.core.price_model import EncryptedPriceModel
 from repro.rtb.nurl import parse_nurl
 from repro.trace.weblog import HttpRequest
 from repro.util.timeutil import day_of_week, hour_of
@@ -84,15 +83,12 @@ class YourAdValue:
         blacklist: DomainBlacklist | None = None,
         geoip: GeoIpResolver | None = None,
     ):
-        self.model = EncryptedPriceModel.from_package(model_package)
-        #: The estimation facade every encrypted-price estimate routes
-        #: through (the deprecated per-method model entry points warn).
-        self.estimator = Estimator(self.model)
+        #: The downloaded price model.  It carries the PME's drift
+        #: coefficient and applies it to every encrypted estimate
+        #: (ledger entries included), so the toolbar shows campaign-time
+        #: prices.
+        self.estimator = Estimator.from_package(model_package)
         self.model_version = int(model_package.get("version", 1))
-        #: The PME's drift coefficient carried by the package; the model
-        #: applies it to every encrypted estimate (ledger entries
-        #: included), so the toolbar shows campaign-time prices.
-        self.time_correction = self.model.time_correction
         self.directory = directory
         self.blacklist = blacklist or default_blacklist()
         self.geoip = geoip or GeoIpResolver()
@@ -181,10 +177,8 @@ class YourAdValue:
         version = int(package.get("version", 1))
         if version <= self.model_version:
             return False
-        self.model = EncryptedPriceModel.from_package(package)
-        self.estimator = Estimator(self.model)
+        self.estimator = Estimator.from_package(package)
         self.model_version = version
-        self.time_correction = self.model.time_correction
         return True
 
     def contribution_records(self) -> list[dict]:

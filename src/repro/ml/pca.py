@@ -54,9 +54,3 @@ class PCA:
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         return self.fit(x).transform(x)
-
-    def inverse_transform(self, z: np.ndarray) -> np.ndarray:
-        """Map component scores back to the original feature space."""
-        if self.components_ is None or self.mean_ is None:
-            raise RuntimeError("PCA must be fitted before inverse_transform")
-        return np.asarray(z, dtype=float) @ self.components_ + self.mean_

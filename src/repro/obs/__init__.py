@@ -55,7 +55,6 @@ from repro.obs.trace import (
     Trace,
     active_trace,
     build_tree,
-    current_span_id,
     event,
     graft,
     span,
@@ -74,7 +73,6 @@ __all__ = [
     "active_trace",
     "build_dump",
     "build_tree",
-    "current_span_id",
     "default_dump_path",
     "default_log_bounds",
     "enable_profiling",

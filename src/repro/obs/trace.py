@@ -42,7 +42,6 @@ __all__ = [
     "SpanRecord",
     "Trace",
     "active_trace",
-    "current_span_id",
     "event",
     "graft",
     "span",
@@ -257,10 +256,6 @@ def start_trace(name: str = "trace", **attrs: Any) -> Trace:
 def active_trace() -> Trace | None:
     """The installed collector, or None when tracing is disabled."""
     return _ACTIVE.get()
-
-
-def current_span_id() -> str | None:
-    return _CURRENT.get()
 
 
 def event(name: str, duration: float = 0.0, start: float | None = None,

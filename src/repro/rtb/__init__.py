@@ -11,8 +11,6 @@ vocabularies.
 from repro.rtb.adslots import (
     CAMPAIGN_PHONE_SIZES,
     CAMPAIGN_TABLET_SIZES,
-    FIGURE12_SIZES,
-    NICKNAMES,
     TURN_SIZES,
     AdSlotSize,
     sort_by_area,
@@ -54,7 +52,6 @@ from repro.rtb.iab import (
     is_valid_category,
 )
 from repro.rtb.nurl import (
-    BID_PRICE_PARAMS,
     CHARGE_PRICE_PARAMS,
     FORMATS,
     HOST_TO_ADX,
@@ -84,8 +81,6 @@ from repro.rtb.pricecrypto import (
 
 __all__ = [
     "AdSlotSize",
-    "NICKNAMES",
-    "FIGURE12_SIZES",
     "TURN_SIZES",
     "CAMPAIGN_PHONE_SIZES",
     "CAMPAIGN_TABLET_SIZES",
@@ -122,7 +117,6 @@ __all__ = [
     "FORMATS",
     "HOST_TO_ADX",
     "CHARGE_PRICE_PARAMS",
-    "BID_PRICE_PARAMS",
     "NUrlFormat",
     "WinNotification",
     "ParsedNotification",

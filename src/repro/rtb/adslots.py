@@ -1,8 +1,7 @@
 """Ad-slot size catalog.
 
 Exchanges quote auctioned slots by pixel dimensions.  The paper's
-Figures 12-14 study the slot sizes below; the industry nicknames
-("MPU", "leaderboard", ...) follow the paper's section 4.4.
+Figures 12-14 study the slot sizes below.
 """
 
 from __future__ import annotations
@@ -32,11 +31,6 @@ class AdSlotSize:
         """Canonical ``WxH`` label, e.g. ``'300x250'``."""
         return f"{self.width}x{self.height}"
 
-    @property
-    def nickname(self) -> str | None:
-        """Industry nickname when one exists (paper section 4.4)."""
-        return NICKNAMES.get(self.label)
-
     @classmethod
     def parse(cls, label: str) -> "AdSlotSize":
         """Parse a ``WxH`` string (case-insensitive 'x')."""
@@ -48,29 +42,6 @@ class AdSlotSize:
     def __str__(self) -> str:
         return self.label
 
-
-#: Nicknames used in the paper.
-NICKNAMES: dict[str, str] = {
-    "300x250": "MPU (Medium Rectangle)",
-    "300x600": "Monster MPU",
-    "728x90": "Leaderboard",
-    "320x50": "Large Mobile Banner",
-    "468x60": "Full Banner",
-    "120x600": "Skyscraper",
-    "160x600": "Wide Skyscraper",
-    "320x480": "Mobile Interstitial (portrait)",
-    "480x320": "Mobile Interstitial (landscape)",
-    "768x1024": "Tablet Interstitial (portrait)",
-    "1024x768": "Tablet Interstitial (landscape)",
-}
-
-#: All sizes appearing in the paper's Figure 12 legend (plus tablet
-#: interstitials from Table 5), as labels.
-FIGURE12_SIZES: tuple[str, ...] = (
-    "300x50", "320x50", "468x60", "200x200", "316x150", "728x90",
-    "280x250", "120x600", "300x250", "336x280", "160x600", "800x130",
-    "400x300", "320x480", "480x320", "300x600", "350x600",
-)
 
 #: The subset carried by the Turn-style exchange in Figures 13-14.
 TURN_SIZES: tuple[str, ...] = (

@@ -31,11 +31,6 @@ CHARGE_PRICE_PARAMS: tuple[str, ...] = (
     "cp", "auction_price", "charge",
 )
 
-#: Parameter names that carry *bid* prices, which must be filtered out
-#: so bids are never tallied as charges (paper section 4.1).
-BID_PRICE_PARAMS: tuple[str, ...] = ("bid_price", "bp", "bid", "max_bid")
-
-
 @dataclass(frozen=True)
 class NUrlFormat:
     """How one exchange shapes its win notifications."""

@@ -27,23 +27,20 @@ import time
 from dataclasses import dataclass
 
 from repro.core.estimator import Estimator
-from repro.core.price_model import EncryptedPriceModel
 
 
 @dataclass(frozen=True)
 class ModelSnapshot:
     """One immutable, fully-materialised model version.
 
-    ``estimator`` is the :class:`repro.core.estimator.Estimator` facade
-    over ``model``, built once per version so the ``/estimate`` hot path
-    never constructs facades per batch.
+    ``estimator`` is the package's loaded price model, built once per
+    version so the ``/estimate`` hot path never deserialises per batch.
     """
 
     package: dict
     body: bytes              # canonical JSON, the exact /model payload
     etag: str                # quoted strong ETag over ``body``
     version: int
-    model: EncryptedPriceModel
     estimator: Estimator
     loaded_at: float         # time.time() at construction
 
@@ -66,14 +63,12 @@ def build_snapshot(package: dict, version: int | None = None) -> ModelSnapshot:
         "utf-8"
     )
     etag = '"' + hashlib.sha256(body).hexdigest() + '"'
-    model = EncryptedPriceModel.from_package(package)
     return ModelSnapshot(
         package=package,
         body=body,
         etag=etag,
         version=int(package["version"]),
-        model=model,
-        estimator=Estimator(model),
+        estimator=Estimator.from_package(package),
         loaded_at=time.time(),
     )
 
@@ -104,9 +99,3 @@ class ModelStore:
         self._current = snapshot
         self._swaps += 1
         return snapshot
-
-    def swap(self, package: dict) -> ModelSnapshot:
-        """Build-and-install convenience (synchronous callers/tests)."""
-        return self.install(
-            build_snapshot(package, version=self._current.version + 1)
-        )

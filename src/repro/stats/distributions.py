@@ -47,10 +47,6 @@ class LogNormal:
         s2 = self.sigma**2
         return float((np.exp(s2) - 1.0) * np.exp(2.0 * self.mu + s2))
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw samples."""
-        return rng.lognormal(self.mu, self.sigma, size=size)
-
     def scaled(self, factor: float) -> "LogNormal":
         """Distribution of ``factor * X`` -- shifts ``mu`` by ``log(factor)``.
 

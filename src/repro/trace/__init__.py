@@ -25,7 +25,6 @@ from repro.trace.geography import (
     CAMPAIGN_CITIES,
     CITIES,
     CITIES_BY_SIZE,
-    COUNTRY,
     City,
     assign_ip,
     city_by_name,
@@ -82,7 +81,6 @@ __all__ = [
     "CITIES",
     "CITIES_BY_SIZE",
     "CAMPAIGN_CITIES",
-    "COUNTRY",
     "city_by_name",
     "assign_ip",
     "population_weights",

@@ -63,8 +63,6 @@ CITIES_BY_SIZE: tuple[str, ...] = tuple(
 #: The four big cities the probe campaigns target (Table 5).
 CAMPAIGN_CITIES: tuple[str, ...] = ("Madrid", "Barcelona", "Valencia", "Seville")
 
-COUNTRY = "ES"
-
 _BY_NAME: dict[str, City] = {c.name: c for c in CITIES}
 
 

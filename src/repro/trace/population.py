@@ -34,12 +34,6 @@ HEAVY_USER_FRACTION = 0.025
 HEAVY_USER_PARETO_ALPHA = 1.5
 HEAVY_USER_SCALE = 10.0
 
-#: Mean fraction of a user's ad-eligible browsing happening inside
-#: native apps (vs the mobile web).  Apps dominate mobile ad spend
-#: (paper section 4.4).
-APP_FRACTION_MEAN = 0.58
-
-
 @dataclass(frozen=True)
 class UserProfile:
     """One simulated mobile user, stable across the year."""

@@ -23,11 +23,8 @@ from repro.util.timeutil import Period
 #: plus the ad-internal distinctions the simulator knows.
 KIND_CONTENT = "content"
 KIND_NURL = "nurl"
-KIND_AD_REQUEST = "ad_request"
 KIND_SYNC = "sync"
 KIND_ANALYTICS = "analytics"
-KIND_SOCIAL = "social"
-KIND_THIRD_PARTY = "third_party"
 
 
 @dataclass(frozen=True, slots=True)

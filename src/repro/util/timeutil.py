@@ -16,7 +16,6 @@ import datetime as dt
 from dataclasses import dataclass
 
 SECONDS_PER_DAY = 86_400
-SECONDS_PER_HOUR = 3_600
 
 #: Six four-hour buckets used by the paper's Figure 6.
 TIME_OF_DAY_BUCKETS = (
@@ -93,13 +92,6 @@ class Period:
         """The whole calendar year."""
         return cls(epoch(year, 1, 1), epoch(year + 1, 1, 1))
 
-    @classmethod
-    def for_month(cls, year: int, month: int) -> "Period":
-        """One calendar month."""
-        if month == 12:
-            return cls(epoch(year, 12, 1), epoch(year + 1, 1, 1))
-        return cls(epoch(year, month, 1), epoch(year, month + 1, 1))
-
     @property
     def duration(self) -> float:
         """Length of the period in seconds."""
@@ -109,10 +101,6 @@ class Period:
     def days(self) -> float:
         """Length of the period in days."""
         return self.duration / SECONDS_PER_DAY
-
-    def contains(self, ts: float) -> bool:
-        """True when ``ts`` falls inside the half-open interval."""
-        return self.start <= ts < self.end
 
 
 #: The paper's observation windows.

@@ -98,7 +98,7 @@ class TestComputeUserCosts:
         from repro.analyzer.interests import PublisherDirectory
         from repro.analyzer.pipeline import WeblogAnalyzer
         from repro.core.campaigns import run_campaign_a1
-        from repro.core.price_model import EncryptedPriceModel
+        from repro.core.estimator import Estimator
         from repro.trace.simulate import build_market, simulate_dataset, small_config
         from repro.util.rng import RngRegistry
 
@@ -109,7 +109,7 @@ class TestComputeUserCosts:
         market = build_market(config, RngRegistry(config.seed))
         campaign = run_campaign_a1(market, seed=21, auctions_per_setup=20)
         rows = campaign.feature_rows()
-        model = EncryptedPriceModel.train(
+        model = Estimator.train(
             rows,
             list(campaign.prices()),
             feature_names=[k for k in rows[0] if k != "publisher"],

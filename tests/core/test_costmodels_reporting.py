@@ -38,11 +38,6 @@ class TestCostBounds:
         assert bounds.lower <= bounds.expected <= bounds.upper
         assert bounds.upper == 100.0
 
-    def test_contains(self):
-        bounds = cost_bounds(100.0)
-        assert bounds.contains(bounds.expected)
-        assert not bounds.contains(200.0)
-
     def test_zero_cost(self):
         bounds = cost_bounds(0.0)
         assert bounds.lower == bounds.expected == bounds.upper == 0.0

@@ -6,7 +6,7 @@ from repro.analyzer.interests import PublisherDirectory
 from repro.analyzer.pipeline import WeblogAnalyzer
 from repro.core.campaigns import run_campaign_a1
 from repro.core.cost import exchange_revenue_estimates
-from repro.core.price_model import EncryptedPriceModel
+from repro.core.estimator import Estimator
 from repro.rtb.entities import ENCRYPTING_ADXS
 from repro.trace.simulate import build_market, simulate_dataset, small_config
 from repro.util.rng import RngRegistry
@@ -22,7 +22,7 @@ def audited():
     market = build_market(config, RngRegistry(config.seed))
     campaign = run_campaign_a1(market, seed=61, auctions_per_setup=20)
     rows = campaign.feature_rows()
-    model = EncryptedPriceModel.train(
+    model = Estimator.train(
         rows, list(campaign.prices()),
         feature_names=[k for k in rows[0] if k != "publisher"],
         seed=61, n_estimators=25, max_depth=12,

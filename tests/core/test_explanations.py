@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.estimator import Estimator
-from repro.core.price_model import EncryptedPriceModel
 
 
 @pytest.fixture(scope="module")
@@ -19,11 +18,11 @@ def model():
         price *= 1.0 + 0.001 * (i % 7)
         rows.append({"context": context, "slot_size": slot, "noise": i % 5})
         prices.append(price)
-    trained = EncryptedPriceModel.train(
+    trained = Estimator.train(
         rows, prices, feature_names=["context", "slot_size", "noise"],
         n_estimators=10, max_depth=6, seed=1,
     )
-    return Estimator(trained), rows
+    return trained, rows
 
 
 class TestExplanations:

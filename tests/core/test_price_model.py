@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.core.campaigns import run_campaign_a1
 from repro.core.estimator import Estimator
-from repro.core.price_model import EncryptedPriceModel, regression_baseline
+from repro.core.price_model import regression_baseline
 from repro.trace.simulate import build_market, small_config
 from repro.util.rng import RngRegistry
 
@@ -23,7 +23,7 @@ def campaign():
 def model(campaign):
     rows = campaign.feature_rows()
     names = [k for k in rows[0] if k != "publisher"]
-    return EncryptedPriceModel.train(
+    return Estimator.train(
         rows, list(campaign.prices()), feature_names=names, seed=5,
         n_estimators=30, max_depth=14,
     )
@@ -32,13 +32,13 @@ def model(campaign):
 class TestTraining:
     def test_trains_and_estimates(self, campaign, model):
         rows = campaign.feature_rows()
-        estimates = Estimator(model).estimate(rows[:50]).prices
+        estimates = model.estimate(rows[:50]).prices
         assert estimates.shape == (50,)
         assert (estimates > 0).all()
 
     def test_estimates_are_class_representatives(self, model, campaign):
         rows = campaign.feature_rows()[:100]
-        estimates = Estimator(model).estimate(rows).prices
+        estimates = model.estimate(rows).prices
         assert set(np.round(estimates, 9)) <= set(
             np.round(model.binner.representatives, 9)
         )
@@ -47,24 +47,24 @@ class TestTraining:
         rows = campaign.feature_rows()
         prices = campaign.prices()
         y = model.binner.assign(prices)
-        pred = Estimator(model).estimate(rows).classes
+        pred = model.estimate(rows).classes
         assert (pred == y).mean() > 0.8
 
     def test_estimate_correlates_with_truth(self, campaign, model):
         rows = campaign.feature_rows()
         prices = campaign.prices()
-        estimates = Estimator(model).estimate(rows).prices
+        estimates = model.estimate(rows).prices
         corr = np.corrcoef(np.log(estimates), np.log(prices))[0, 1]
         assert corr > 0.7
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
-            EncryptedPriceModel.train([{"a": 1}], [1.0])
+            Estimator.train([{"a": 1}], [1.0])
 
     def test_length_mismatch_rejected(self, campaign):
         rows = campaign.feature_rows()
         with pytest.raises(ValueError):
-            EncryptedPriceModel.train(rows, [1.0])
+            Estimator.train(rows, [1.0])
 
     def test_oob_score_populated(self, model):
         assert model.forest.oob_score_ is not None
@@ -74,11 +74,11 @@ class TestTraining:
 class TestPackaging:
     def test_package_roundtrip_preserves_estimates(self, campaign, model):
         package = model.to_package()
-        clone = EncryptedPriceModel.from_package(package)
+        clone = Estimator.from_package(package)
         rows = campaign.feature_rows()[:100]
         assert np.allclose(
-            Estimator(model).estimate(rows).prices,
-            Estimator(clone).estimate(rows).prices,
+            model.estimate(rows).prices,
+            clone.estimate(rows).prices,
         )
 
     def test_package_is_json_serialisable(self, model):
@@ -87,7 +87,7 @@ class TestPackaging:
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
-            EncryptedPriceModel.from_package({"kind": "nope"})
+            Estimator.from_package({"kind": "nope"})
 
     def test_package_carries_version(self, model):
         assert model.to_package(version=3)["version"] == 3
@@ -106,27 +106,26 @@ class TestTimeCorrectionRoundTrip:
     def test_coefficient_survives_the_round_trip(self, model):
         package = model.to_package()
         package["time_correction"] = 1.37          # what the PME stamps
-        clone = EncryptedPriceModel.from_package(package)
+        clone = Estimator.from_package(package)
         assert clone.time_correction == 1.37
 
     def test_loaded_model_estimates_are_time_corrected(self, campaign, model):
         package = model.to_package()
         package["time_correction"] = 1.37
-        clone = EncryptedPriceModel.from_package(package)
+        clone = Estimator.from_package(package)
         rows = campaign.feature_rows()[:50]
         assert np.allclose(
-            Estimator(clone).estimate(rows).prices,
-            Estimator(model).estimate(rows).prices * 1.37,
+            clone.estimate(rows).prices,
+            model.estimate(rows).prices * 1.37,
         )
-        assert Estimator(clone).estimate_one(rows[0]) == pytest.approx(
-            Estimator(model).estimate_one(rows[0]) * 1.37
+        assert clone.estimate_one(rows[0]) == pytest.approx(
+            model.estimate_one(rows[0]) * 1.37
         )
 
     def test_estimate_one_matches_batch_bitwise(self, campaign, model):
         package = model.to_package()
         package["time_correction"] = 1.37
-        clone = EncryptedPriceModel.from_package(package)
-        estimator = Estimator(clone)
+        estimator = Estimator.from_package(package)
         rows = campaign.feature_rows()[:32]
         batch = estimator.estimate(rows).prices
         assert [estimator.estimate_one(r) for r in rows] == list(batch)
@@ -137,7 +136,7 @@ class TestTimeCorrectionRoundTrip:
         # single-row path must price them exactly as the batch does.
         package = model.to_package()
         package["time_correction"] = 0.83
-        estimator = Estimator(EncryptedPriceModel.from_package(package))
+        estimator = Estimator.from_package(package)
         rows = [
             dict(row, city="Atlantis", slot_size="1x1", adx=None)
             if i % 2 else dict(row, publisher_iab="IAB99", os="Plan9")
@@ -147,9 +146,8 @@ class TestTimeCorrectionRoundTrip:
         assert [estimator.estimate_one(r) for r in rows] == list(batch)
 
     def test_estimate_one_records_the_forest_span(self, campaign, model):
-        estimator = Estimator(model)
         with obs.start_trace("observe") as trace:
-            estimator.estimate_one(campaign.feature_rows()[0])
+            model.estimate_one(campaign.feature_rows()[0])
         names = [record.name for record in trace.records]
         assert "forest.predict_proba" in names
         assert "estimator.estimate" not in names
@@ -157,8 +155,7 @@ class TestTimeCorrectionRoundTrip:
     def test_explain_one_reports_corrected_price(self, campaign, model):
         package = model.to_package()
         package["time_correction"] = 1.37
-        clone = EncryptedPriceModel.from_package(package)
-        estimator = Estimator(clone)
+        estimator = Estimator.from_package(package)
         row = campaign.feature_rows()[0]
         explanation = estimator.explain(row)
         assert explanation["estimated_cpm"] == pytest.approx(
@@ -168,14 +165,14 @@ class TestTimeCorrectionRoundTrip:
     def test_legacy_package_defaults_to_neutral(self, model):
         package = model.to_package()
         del package["time_correction"]             # pre-PR-3 artefact
-        clone = EncryptedPriceModel.from_package(package)
+        clone = Estimator.from_package(package)
         assert clone.time_correction == 1.0
 
     def test_nonpositive_coefficient_rejected(self, model):
         package = model.to_package()
         package["time_correction"] = 0.0
         with pytest.raises(ValueError, match="time_correction"):
-            EncryptedPriceModel.from_package(package)
+            Estimator.from_package(package)
 
     def test_pme_package_applies_state_coefficient(self, campaign):
         """End to end through the PME: package_model -> from_package."""
@@ -188,10 +185,10 @@ class TestTimeCorrectionRoundTrip:
             evaluate=False,
         )
         pme.state.time_correction = 1.19
-        loaded = EncryptedPriceModel.from_package(pme.package_model())
+        loaded = Estimator.from_package(pme.package_model())
         row = campaign.feature_rows()[0]
-        assert Estimator(loaded).estimate_one(row) == pytest.approx(
-            Estimator(raw_model).estimate_one(row) * 1.19
+        assert loaded.estimate_one(row) == pytest.approx(
+            raw_model.estimate_one(row) * 1.19
         )
 
 

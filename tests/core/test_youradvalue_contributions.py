@@ -6,7 +6,7 @@ from repro.analyzer.interests import PublisherDirectory
 from repro.core.contributions import ContributionError, ContributionServer
 from repro.core.youradvalue import YourAdValue
 from repro.core.campaigns import run_campaign_a1
-from repro.core.price_model import EncryptedPriceModel
+from repro.core.estimator import Estimator
 from repro.trace.simulate import build_market, simulate_dataset, small_config
 from repro.util.rng import RngRegistry
 
@@ -18,7 +18,7 @@ def environment():
     market = build_market(config, RngRegistry(config.seed))
     campaign = run_campaign_a1(market, seed=17, auctions_per_setup=15)
     rows = campaign.feature_rows()
-    model = EncryptedPriceModel.train(
+    model = Estimator.train(
         rows,
         list(campaign.prices()),
         feature_names=[k for k in rows[0] if k != "publisher"],
@@ -137,7 +137,8 @@ class TestYourAdValue:
         assert amounts(client)
         assert amounts(client) == amounts(fresh)
         assert amounts(client) != [2 * a for a in amounts(stale)]
-        assert client.estimator.model is client.model
+        assert client.estimator.time_correction == newer["time_correction"]
+        assert len(client.estimator.forest.trees_) == 3
 
     def test_contribution_records_are_anonymous(self, environment, client):
         dataset, _, _ = environment

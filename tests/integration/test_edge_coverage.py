@@ -31,11 +31,11 @@ class TestCliEdges:
     def _tiny_model(self, tmp_path):
         import numpy as np
 
-        from repro.core.price_model import EncryptedPriceModel
+        from repro.core.estimator import Estimator
 
         rows = [{"a": i % 3} for i in range(30)]
         prices = list(np.linspace(0.1, 5.0, 30))
-        model = EncryptedPriceModel.train(
+        model = Estimator.train(
             rows, prices, n_estimators=2, max_depth=3, seed=0
         )
         path = tmp_path / "m.json"

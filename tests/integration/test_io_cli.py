@@ -80,7 +80,7 @@ class TestDirectoryRoundtrip:
 class TestModelPackageIo:
     def _package(self, dataset):
         from repro.core.pme import PAPER_FEATURE_SET
-        from repro.core.price_model import EncryptedPriceModel
+        from repro.core.estimator import Estimator
 
         directory = PublisherDirectory.from_universe(dataset.universe)
         analysis = WeblogAnalyzer(directory).analyze(dataset.rows)
@@ -91,7 +91,7 @@ class TestModelPackageIo:
         for obs in analysis.cleartext():
             rows.append(observation_features(obs))
             prices.append(obs.price_cpm)
-        model = EncryptedPriceModel.train(
+        model = Estimator.train(
             rows, prices, feature_names=list(PAPER_FEATURE_SET),
             seed=1, n_estimators=5, max_depth=6,
         )
@@ -193,11 +193,11 @@ class TestCli:
         # Build the tiniest valid package so the features-JSON
         # validation path is what fires.
         import numpy as np
-        from repro.core.price_model import EncryptedPriceModel
+        from repro.core.estimator import Estimator
 
         rows = [{"a": i % 3} for i in range(30)]
         prices = list(np.linspace(0.1, 5.0, 30))
-        model = EncryptedPriceModel.train(
+        model = Estimator.train(
             rows, prices, n_estimators=2, max_depth=3, seed=0
         )
         save_model_package(model.to_package(), model_path)

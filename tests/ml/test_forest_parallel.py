@@ -19,7 +19,7 @@ analyzer's: a merge-order or seeding regression must fail fast.
 import numpy as np
 import pytest
 
-from repro.core.price_model import EncryptedPriceModel
+from repro.core.estimator import Estimator
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.serialize import dumps, forest_to_dict
 from tests.ml.reference import forest_proba, proba_nodes, proba_per_row
@@ -98,16 +98,12 @@ class TestParallelTrainingIdentity:
 
     def test_price_model_workers_identical_package(self):
         rows, prices = _feature_rows()
-        one = EncryptedPriceModel.train(rows, prices, n_estimators=8, seed=5,
-                                        workers=1)
-        two = EncryptedPriceModel.train(rows, prices, n_estimators=8, seed=5,
-                                        workers=2)
+        one = Estimator.train(rows, prices, n_estimators=8, seed=5, workers=1)
+        two = Estimator.train(rows, prices, n_estimators=8, seed=5, workers=2)
         assert one.to_package() == two.to_package()
-        from repro.core.estimator import Estimator
-
         assert np.array_equal(
-            Estimator(one).estimate(rows).prices,
-            Estimator(two).estimate(rows).prices,
+            one.estimate(rows).prices,
+            two.estimate(rows).prices,
         )
 
 

@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro.core.campaigns import run_campaign_a1
 from repro.core.estimator import Estimator
 from repro.core.pme import PAPER_FEATURE_SET
-from repro.core.price_model import EncryptedPriceModel
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.histsplit import (
     MAX_BINS,
@@ -238,7 +237,7 @@ class TestHistForestGates:
         with pytest.raises(TypeError, match="splitter"):
             DecisionTreeRegressor(splitter="exact")
         with pytest.raises(TypeError, match="splitter"):
-            EncryptedPriceModel.train([], [], splitter="hist")
+            Estimator.train([], [], splitter="hist")
 
 
 class TestPriceModelHist:
@@ -258,17 +257,17 @@ class TestPriceModelHist:
 
     def test_train_package_roundtrip_with_hist(self):
         rows, prices = self._rows()
-        model = EncryptedPriceModel.train(rows, prices, n_estimators=8, seed=3)
+        model = Estimator.train(rows, prices, n_estimators=8, seed=3)
         # Packages never see bin codes: the loaded forest is plain
         # FlatTree arrays and estimates identically.
-        loaded = EncryptedPriceModel.from_package(model.to_package())
-        a = Estimator(model).estimate(rows[:20]).classes
-        b = Estimator(loaded).estimate(rows[:20]).classes
+        loaded = Estimator.from_package(model.to_package())
+        a = model.estimate(rows[:20]).classes
+        b = loaded.estimate(rows[:20]).classes
         assert np.array_equal(a, b)
 
     def test_cross_validate_inherits_hist(self):
         rows, prices = self._rows(150)
-        model = EncryptedPriceModel.train(rows, prices, n_estimators=6, seed=5)
+        model = Estimator.train(rows, prices, n_estimators=6, seed=5)
         result = model.cross_validate(rows, prices, n_folds=3, n_runs=1)
         assert 0.0 <= result.accuracy <= 1.0
 
@@ -289,7 +288,7 @@ class TestLosslessPremise:
         campaign = run_campaign_a1(market, seed=17, auctions_per_setup=20)
         rows = campaign.feature_rows()
         names = [n for n in PAPER_FEATURE_SET if n != "publisher"]
-        model = EncryptedPriceModel.train(
+        model = Estimator.train(
             rows, list(campaign.prices()), feature_names=names,
             n_estimators=1, seed=0,
         )

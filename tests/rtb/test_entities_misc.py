@@ -26,7 +26,6 @@ class TestAdSlots:
         assert slot.width == 300 and slot.height == 250
         assert slot.label == "300x250"
         assert slot.area == 75_000
-        assert "MPU" in slot.nickname
 
     def test_parse_case_insensitive(self):
         assert AdSlotSize.parse("728X90") == AdSlotSize(728, 90)

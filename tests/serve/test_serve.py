@@ -16,7 +16,6 @@ from repro.core.campaigns import run_campaign_a1
 from repro.core.contributions import ContributionServer
 from repro.core.estimator import Estimator
 from repro.core.pme import PriceModelingEngine
-from repro.core.price_model import EncryptedPriceModel
 from repro.serve import PmeServer
 from repro.serve.loadgen import Connection, run_load
 from repro.trace.simulate import build_market, small_config
@@ -71,7 +70,7 @@ def flush_sizes(metrics: dict) -> dict[int, int]:
 def package():
     """A small packaged model carrying a non-trivial time correction."""
     rows, prices = synthetic_rows(300)
-    model = EncryptedPriceModel.train(
+    model = Estimator.train(
         rows, prices, n_estimators=12, max_depth=8, seed=3
     )
     pkg = model.to_package()
@@ -95,7 +94,7 @@ def pme_with_campaign():
     pme.state.campaign_a1 = campaign
     rows = campaign.feature_rows()
     pme.state.selected_features = [k for k in rows[0] if k != "publisher"]
-    pme.state.model = EncryptedPriceModel.train(
+    pme.state.model = Estimator.train(
         rows,
         list(campaign.prices()),
         feature_names=pme.state.selected_features,
@@ -161,7 +160,7 @@ class TestModelDistribution:
             response = await request_once(
                 "127.0.0.1", server.port, "GET", "/model"
             )
-            model = EncryptedPriceModel.from_package(
+            model = Estimator.from_package(
                 json.loads(response.body.decode())
             )
             assert model.time_correction == TIME_CORRECTION

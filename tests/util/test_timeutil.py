@@ -44,17 +44,6 @@ class TestPeriod:
         assert Period.for_year(2015).days == 365
         assert Period.for_year(2016).days == 366  # leap year
 
-    def test_month_period(self):
-        feb = Period.for_month(2015, 2)
-        assert feb.days == 28
-        dec = Period.for_month(2015, 12)
-        assert dec.days == 31
-
-    def test_contains_is_half_open(self):
-        p = Period.for_month(2015, 1)
-        assert p.contains(p.start)
-        assert not p.contains(p.end)
-
     def test_reversed_period_raises(self):
         with pytest.raises(ValueError):
             Period(10.0, 5.0)
