@@ -46,12 +46,13 @@ import numpy as np
 
 from repro.core.estimator import Estimator
 from repro.serve import PmeServer
-from repro.serve.loadgen import run_load
 
 try:  # package import under pytest, sibling import as a script
     from ._record import provenance
+    from .loadgen import run_load
 except ImportError:  # pragma: no cover - script mode
     from _record import provenance
+    from loadgen import run_load
 
 #: The paper's production forest shape (section 5.4).
 N_ESTIMATORS = 60

@@ -10,12 +10,12 @@ Two layers:
   workers, each with its own persistent connection, hammer
   ``POST /estimate`` until ``total`` requests have completed,
   recording per-request latency.  Returns throughput + percentile
-  stats; ``benchmarks/bench_serve.py`` wraps it to compare batching
+  stats; ``bench_serve.py`` beside it wraps it to compare batching
   on vs off.
 
 Standalone usage (against an already-running ``repro serve``)::
 
-    PYTHONPATH=src python -m repro.serve.loadgen \
+    python benchmarks/loadgen.py \
         --host 127.0.0.1 --port 8080 --requests 2000 --concurrency 32
 """
 

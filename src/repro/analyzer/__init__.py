@@ -26,7 +26,6 @@ from repro.analyzer.detector import (
 )
 from repro.analyzer.features import (
     CORE_FEATURES,
-    CORE_FEATURES_WITH_PUBLISHER,
     AdvertiserAggregates,
     FeatureExtractor,
     UserAggregates,
@@ -66,7 +65,6 @@ __all__ = [
     "UserAggregates",
     "AdvertiserAggregates",
     "CORE_FEATURES",
-    "CORE_FEATURES_WITH_PUBLISHER",
     "GeoIpResolver",
     "GeoLookup",
     "PublisherDirectory",

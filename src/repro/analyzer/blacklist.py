@@ -70,15 +70,6 @@ class DomainBlacklist:
         self._memo[key] = group
         return group
 
-    def merge(self, other: "DomainBlacklist") -> "DomainBlacklist":
-        """Union of two blacklists (integrating a second list)."""
-        return DomainBlacklist(
-            advertising=self.advertising | other.advertising,
-            analytics=self.analytics | other.analytics,
-            social=self.social | other.social,
-            third_party=self.third_party | other.third_party,
-        )
-
     def __len__(self) -> int:
         return (
             len(self.advertising)

@@ -48,10 +48,6 @@ CORE_FEATURES: tuple[str, ...] = (
     "adx",
 )
 
-#: S plus the exact publisher -- the configuration the paper rejects as
-#: overfitting (section 5.4).
-CORE_FEATURES_WITH_PUBLISHER: tuple[str, ...] = CORE_FEATURES + ("publisher",)
-
 
 @dataclass
 class UserAggregates:

@@ -44,10 +44,6 @@ class PriceBinner:
             raise ValueError("prices must be positive")
         return np.searchsorted(np.asarray(self.cuts), np.log(arr), side="right")
 
-    def representative(self, cls: int) -> float:
-        """Median CPM of the class -- the price estimate for that class."""
-        return self.representatives[cls]
-
     def estimate(self, classes: Iterable[int]) -> np.ndarray:
         """Vectorised class -> representative CPM mapping."""
         reps = np.asarray(self.representatives)

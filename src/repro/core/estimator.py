@@ -13,8 +13,6 @@ as the representative (median) CPM of the predicted class.
 * :meth:`Estimator.estimate` takes a batch of feature rows and returns
   an :class:`EstimateResult`: per-row CPM estimates and predicted
   classes.
-* :meth:`Estimator.explain` produces the user-facing "why this price?"
-  payload.
 
 The price of a row is ``binner.estimate(argmax(proba)) *
 time_correction``: the probability matrix is computed once and classes
@@ -224,44 +222,3 @@ class Estimator:
         """Predicted classes and time-corrected CPMs of probability rows."""
         classes = np.argmax(proba, axis=1)
         return classes, self.binner.estimate(classes) * self.time_correction
-
-    def explain(self, row: Mapping[str, Hashable]) -> dict:
-        """The user-facing "why this price?" payload for one row.
-
-        Predicted class, representative CPM (time-corrected), class
-        probabilities, top feature importances, and the decision path of
-        the first member tree.
-        """
-        names = self.feature_names
-        with obs.stage("estimator.explain"):
-            x = self.encoder.transform([row])
-            probs = self.forest.predict_proba(x)[0]
-            cls = int(np.argmax(probs))
-            path = [
-                {
-                    "feature": names[feature],
-                    "threshold": threshold,
-                    "went_left": went_left,
-                    "value": row.get(names[feature]),
-                }
-                for feature, threshold, went_left in self.forest.trees_[
-                    0
-                ].decision_path(x[0])
-            ]
-            importances = self.forest.feature_importances_
-            top = []
-            if importances is not None:
-                order = np.argsort(importances)[::-1][:5]
-                top = [
-                    {"feature": names[i], "importance": float(importances[i])}
-                    for i in order
-                ]
-        return {
-            "predicted_class": cls,
-            "estimated_cpm": float(
-                self.binner.representative(cls) * self.time_correction
-            ),
-            "class_probabilities": [float(p) for p in probs],
-            "top_features": top,
-            "decision_path": path,
-        }

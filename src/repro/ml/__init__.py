@@ -23,7 +23,6 @@ from repro.ml.metrics import (
 from repro.ml.model_selection import (
     CrossValidationResult,
     cross_validate_classifier,
-    kfold_indices,
     stratified_kfold_indices,
     train_test_split,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "r2_score",
     "CrossValidationResult",
     "cross_validate_classifier",
-    "kfold_indices",
     "stratified_kfold_indices",
     "train_test_split",
     "PCA",

@@ -105,18 +105,6 @@ class FlatTree:
         return _depth(self.feature, self.left, self.right,
                       np.zeros(1, dtype=np.intp))
 
-    def decision_path(self, row: np.ndarray) -> list[tuple[int, float, bool]]:
-        """The ``(feature, threshold, went_left)`` steps of one row."""
-        path: list[tuple[int, float, bool]] = []
-        node = 0
-        while self.feature[node] >= 0:
-            feature = int(self.feature[node])
-            threshold = float(self.threshold[node])
-            went_left = bool(row[feature] <= threshold)
-            path.append((feature, threshold, went_left))
-            node = self.left[node] if went_left else self.right[node]
-        return path
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Leaf node id reached by every row of ``x`` (vectorised).
 

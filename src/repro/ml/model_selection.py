@@ -32,23 +32,6 @@ def train_test_split(
     return order[n_test:], order[:n_test]
 
 
-def kfold_indices(
-    n_samples: int, n_folds: int = 10, seed: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (train, test) index pairs for plain shuffled k-fold CV."""
-    if n_folds < 2:
-        raise ValueError("need at least 2 folds")
-    if n_samples < n_folds:
-        raise ValueError(f"cannot make {n_folds} folds from {n_samples} samples")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n_samples)
-    folds = np.array_split(order, n_folds)
-    for i in range(n_folds):
-        test = folds[i]
-        train = np.concatenate([folds[j] for j in range(n_folds) if j != i])
-        yield train, test
-
-
 def stratified_kfold_indices(
     labels: Sequence[int], n_folds: int = 10, seed: int = 0
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -135,9 +118,9 @@ def cross_validate_classifier(
     n_folds: int = 10,
     n_runs: int = 1,
     seed: int = 0,
-    stratified: bool = True,
 ) -> CrossValidationResult:
-    """k-fold cross validation repeated ``n_runs`` times (paper: 10x10).
+    """Stratified k-fold cross validation repeated ``n_runs`` times
+    (paper: 10x10).
 
     ``model_factory`` must return a fresh unfitted model exposing
     ``fit(x, y)``, ``predict(x)`` and ``predict_proba(x)``.
@@ -148,12 +131,7 @@ def cross_validate_classifier(
     reports: list[ClassificationReport] = []
     for run in range(n_runs):
         run_seed = derive_seed(seed, f"cv-run-{run}")
-        splitter = (
-            stratified_kfold_indices(y, n_folds, run_seed)
-            if stratified
-            else kfold_indices(len(y), n_folds, run_seed)
-        )
-        for train, test in splitter:
+        for train, test in stratified_kfold_indices(y, n_folds, run_seed):
             model = model_factory()
             model.fit(x[train], y[train])  # type: ignore[attr-defined]
             pred = model.predict(x[test])  # type: ignore[attr-defined]

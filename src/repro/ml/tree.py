@@ -10,8 +10,8 @@ with the histogram engine of :mod:`repro.ml.histsplit`; the regressor
 with an exhaustive threshold search per feature over cumulative sums.
 Both growers write node rows straight into the arrays of one
 :class:`repro.ml.flat.FlatTree`, the only representation of a fitted
-tree: it scores, it answers ``depth``/``n_leaves``/``decision_path``,
-and (with the classifier's integer leaf class counts) it is what
+tree: it scores, it answers ``depth``/``n_leaves``, and (with the
+classifier's integer leaf class counts) it is what
 :mod:`repro.ml.serialize` stores.
 """
 
@@ -308,13 +308,6 @@ class DecisionTreeClassifier:
 
     def n_leaves(self) -> int:
         return _check_flat(self).n_leaves()
-
-    def decision_path(self, row: np.ndarray) -> list[tuple[int, float, bool]]:
-        """The (feature, threshold, went_left) sequence for one sample.
-
-        YourAdValue surfaces this to explain a price estimate to the user.
-        """
-        return _check_flat(self).decision_path(np.asarray(row, dtype=float))
 
 
 class DecisionTreeRegressor:

@@ -35,7 +35,6 @@ from repro.rtb.campaign import (
 )
 from repro.rtb.cookiesync import CookieSyncRegistry, synced_uid
 from repro.rtb.entities import (
-    DSP_NAMES,
     ENCRYPTING_ADXS,
     MARKET_SHARES,
     Advertiser,
@@ -101,7 +100,6 @@ __all__ = [
     "synced_uid",
     "MARKET_SHARES",
     "ENCRYPTING_ADXS",
-    "DSP_NAMES",
     "Publisher",
     "Advertiser",
     "Dmp",

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from repro.rtb.openrtb import Bid
 
 
+#: Smallest step a second-price winner pays over the runner-up, CPM.
+MIN_INCREMENT_CPM = 0.01
+
+
 class AuctionError(Exception):
     """Raised on malformed auction inputs."""
 
@@ -67,14 +71,13 @@ def run_first_price_auction(
 def run_second_price_auction(
     bids: list[Bid],
     floor_cpm: float = 0.0,
-    min_increment_cpm: float = 0.01,
 ) -> AuctionOutcome | None:
     """Clear a second-price auction.
 
     Bids below the floor are discarded.  The winner is the highest
     bidder (deterministic tie-break on (price, dsp, campaign_id) so the
     simulation is reproducible); the charge price is
-    ``max(second_highest_bid + min_increment, floor)`` capped at the
+    ``max(second_highest_bid + MIN_INCREMENT_CPM, floor)`` capped at the
     winning bid, or the floor/bid when the winner is alone.
 
     Returns ``None`` when no bid clears the floor (unsold slot, which an
@@ -92,7 +95,7 @@ def run_second_price_auction(
     winner = ranked[0]
     if len(ranked) >= 2:
         second = ranked[1].price_cpm
-        charge = min(winner.price_cpm, max(second + min_increment_cpm, floor_cpm))
+        charge = min(winner.price_cpm, max(second + MIN_INCREMENT_CPM, floor_cpm))
         second_price = second
     else:
         charge = floor_cpm if floor_cpm > 0 else winner.price_cpm

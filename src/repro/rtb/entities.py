@@ -43,12 +43,6 @@ MARKET_SHARES: dict[str, float] = {
 #: authors probe in campaign A1.
 ENCRYPTING_ADXS: tuple[str, ...] = ("DoubleClick", "Rubicon", "OpenX", "PulsePoint")
 
-#: The DSPs participating in simulated auctions.
-DSP_NAMES: tuple[str, ...] = (
-    "Criteo-DSP", "MediaMath-DSP", "DBM", "AppNexus-DSP", "InviteMedia",
-    "Turn-DSP", "Adform", "DataXu",
-)
-
 
 @dataclass(frozen=True)
 class Publisher:

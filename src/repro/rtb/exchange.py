@@ -27,6 +27,21 @@ from repro.rtb.openrtb import Bid, BidRequest
 from repro.rtb.pricecrypto import PriceKeys, encrypt_price
 
 
+#: Clearing function per auction mechanism.
+_CLEARING = {
+    "second_price": run_second_price_auction,
+    "first_price": run_first_price_auction,
+}
+
+
+def _clearing(mechanism: str):
+    """The clearing function of ``mechanism``; unknown names raise."""
+    try:
+        return _CLEARING[mechanism]
+    except KeyError:
+        raise ValueError(f"unknown auction mechanism {mechanism!r}") from None
+
+
 @dataclass
 class PairEncryptionPolicy:
     """Per (ADX, DSP) pair: when (if ever) the pair switched to
@@ -85,17 +100,15 @@ class AdExchange:
         self,
         name: str,
         rng: np.random.Generator,
-        secret: str | None = None,
         floor_cpm: float = 0.01,
         mechanism: str = "second_price",
     ):
         if name not in FORMATS:
             raise ValueError(f"no nURL format registered for exchange {name!r}")
-        if mechanism not in ("second_price", "first_price"):
-            raise ValueError(f"unknown auction mechanism {mechanism!r}")
+        _clearing(mechanism)
         self.name = name
         self.rng = rng
-        self.keys = PriceKeys.derive(secret if secret is not None else f"adx:{name}")
+        self.keys = PriceKeys.derive(f"adx:{name}")
         self.floor_cpm = floor_cpm
         self.mechanism = mechanism
         self.auctions_run = 0
@@ -118,12 +131,7 @@ class AdExchange:
             response = dsp.respond(request)
             bids.extend(response.bids)
 
-        clear = (
-            run_first_price_auction
-            if self.mechanism == "first_price"
-            else run_second_price_auction
-        )
-        outcome = clear(bids, floor_cpm=self.floor_cpm)
+        outcome = _clearing(self.mechanism)(bids, floor_cpm=self.floor_cpm)
         if outcome is None:
             return None
 

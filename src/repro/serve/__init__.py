@@ -13,8 +13,10 @@ stdlib-only HTTP/1.1 service:
 * :class:`MicroBatcher` (:mod:`repro.serve.batching`) -- coalesces
   concurrent estimates into single vectorised forest calls;
 * :class:`ModelStore` / :class:`ModelSnapshot`
-  (:mod:`repro.serve.store`) -- versioned, hot-swappable packages;
-* :mod:`repro.serve.loadgen` -- keep-alive client + load generator.
+  (:mod:`repro.serve.store`) -- versioned, hot-swappable packages.
+
+``benchmarks/loadgen.py`` is the keep-alive client and load generator
+that drives it.
 
 Quickstart::
 

@@ -29,6 +29,9 @@ from typing import Any, Callable, Sequence
 
 from repro import obs
 
+#: Requests a batcher holds before ``submit`` waits for queue space.
+MAX_QUEUE = 10_000
+
 
 @dataclass
 class _Pending:
@@ -61,7 +64,6 @@ class MicroBatcher:
         *,
         max_batch: int = 32,
         max_delay_ms: float = 2.0,
-        max_queue: int = 10_000,
         on_batch: Callable[[int, float], None] | None = None,
         on_queue_wait: Callable[[float], None] | None = None,
     ):
@@ -72,7 +74,7 @@ class MicroBatcher:
         self._predict = predict
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay_ms) / 1000.0
-        self._queue: asyncio.Queue[_Pending] = asyncio.Queue(maxsize=max_queue)
+        self._queue: asyncio.Queue[_Pending] = asyncio.Queue(maxsize=MAX_QUEUE)
         self._on_batch = on_batch
         self._on_queue_wait = on_queue_wait
         self._task: asyncio.Task | None = None

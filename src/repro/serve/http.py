@@ -77,6 +77,9 @@ class Request:
 
 
 def _parse_headers(block: bytes) -> dict[str, str]:
+    """Header fields keyed by lowercased name; a repeated field keeps
+    its last value, except that differing ``Content-Length`` values
+    answer 400 (the body's framing would be ambiguous)."""
     headers: dict[str, str] = {}
     for raw in block.split(b"\r\n"):
         if not raw:
@@ -86,9 +89,12 @@ def _parse_headers(block: bytes) -> dict[str, str]:
             raise HttpError(400, f"malformed header line {raw[:64]!r}")
         try:
             key = name.decode("ascii").strip().lower()
-            headers[key] = value.decode("latin-1").strip()
         except UnicodeDecodeError as exc:
             raise HttpError(400, "non-ascii header name") from exc
+        text = value.decode("latin-1").strip()
+        if key == "content-length" and headers.get(key, text) != text:
+            raise HttpError(400, "conflicting content-length headers")
+        headers[key] = text
     return headers
 
 
@@ -146,16 +152,15 @@ async def read_request(
     body = b""
     raw_length = headers.get("content-length")
     if raw_length is not None:
-        try:
-            length = int(raw_length)
-        except ValueError as exc:
-            raise HttpError(400, f"bad content-length {raw_length!r}") from exc
-        if length < 0:
-            raise HttpError(400, "negative content-length")
-        if length > max_body_bytes:
+        # Digits only: int() would also take "+3" and "1_0".
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise HttpError(400, f"bad content-length {raw_length[:32]!r}")
+        # Length-check the text first: int() refuses ~4,300+ digits.
+        digits = raw_length.lstrip("0") or "0"
+        if len(digits) > len(str(max_body_bytes)) or int(digits) > max_body_bytes:
             raise HttpError(413, f"body over {max_body_bytes} bytes")
         try:
-            body = await reader.readexactly(length)
+            body = await reader.readexactly(int(digits))
         except asyncio.IncompleteReadError as exc:
             raise HttpError(400, "body shorter than content-length") from exc
 

@@ -26,14 +26,13 @@ from repro.obs.metrics import MetricsRegistry
 class ServeMetrics:
     """All counters/histograms the serve endpoints expose.
 
-    Each server owns its own registry (``registry=None`` builds one),
-    so two servers in one process -- the hot-reload tests run several --
-    never mix counts; pass a registry explicitly to aggregate.
+    Each server owns its own registry, so two servers in one process
+    -- the hot-reload tests run several -- never mix counts.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None):
+    def __init__(self):
         self.started_at = time.time()
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         reg = self.registry
         self._requests = reg.counter(
             "serve.requests", "requests per route")

@@ -43,7 +43,6 @@ from repro.trace.pricing import (
     ENCRYPTED_PREMIUM,
     IAB_MULTIPLIERS,
     OS_MULTIPLIERS,
-    PAPER_CALIBRATION,
     SLOT_MULTIPLIERS,
     GroundTruthPriceModel,
     months_since_2015,
@@ -94,7 +93,6 @@ __all__ = [
     "sample_interests",
     "activity_weights",
     "GroundTruthPriceModel",
-    "PAPER_CALIBRATION",
     "BASE_CPM",
     "APP_MULTIPLIER",
     "ENCRYPTED_PREMIUM",

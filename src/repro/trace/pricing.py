@@ -222,9 +222,6 @@ class GroundTruthPriceModel:
         return self.value_cpm(request)
 
 
-#: The paper-calibrated default model.
-PAPER_CALIBRATION = GroundTruthPriceModel()
-
 #: Aggressiveness of DSPs that hide their prices: the paper measures
 #: encrypted charge prices at ~1.7x cleartext medians (section 6.1),
 #: attributing it to aggressive retargeting / high-value audiences.

@@ -12,8 +12,6 @@ from repro.util.rng import DEFAULT_SEED, RngRegistry, derive_seed, stream
 from repro.util.timeutil import (
     CAMPAIGN_A1_PERIOD,
     CAMPAIGN_A2_PERIOD,
-    DATASET_PERIOD,
-    DATASET_YEAR,
     DAY_NAMES,
     TIME_OF_DAY_BUCKETS,
     Period,
@@ -36,8 +34,6 @@ __all__ = [
     "derive_seed",
     "stream",
     "Period",
-    "DATASET_YEAR",
-    "DATASET_PERIOD",
     "CAMPAIGN_A1_PERIOD",
     "CAMPAIGN_A2_PERIOD",
     "DAY_NAMES",

@@ -103,8 +103,6 @@ class Period:
         return self.duration / SECONDS_PER_DAY
 
 
-#: The paper's observation windows.
-DATASET_YEAR = 2015
-DATASET_PERIOD = Period.for_year(DATASET_YEAR)
+#: The paper's probe-campaign windows.
 CAMPAIGN_A1_PERIOD = Period(epoch(2016, 5, 9), epoch(2016, 5, 22))   # 13 days
 CAMPAIGN_A2_PERIOD = Period(epoch(2016, 6, 13), epoch(2016, 6, 21))  # 8 days

@@ -60,14 +60,6 @@ class TestBlacklist:
         blacklist = default_blacklist()
         assert blacklist.classify("FACEBOOK.COM") == GROUP_SOCIAL
 
-    def test_merge_unions_entries(self):
-        a = DomainBlacklist(advertising={"a.com"})
-        b = DomainBlacklist(advertising={"b.com"}, analytics={"c.com"})
-        merged = a.merge(b)
-        assert merged.classify("a.com") == GROUP_ADVERTISING
-        assert merged.classify("b.com") == GROUP_ADVERTISING
-        assert merged.classify("c.com") == GROUP_ANALYTICS
-
     def test_len_counts_entries(self):
         assert len(DomainBlacklist(advertising={"a.com", "b.com"})) == 2
 

@@ -6,7 +6,6 @@ from repro.analyzer.blacklist import default_blacklist
 from repro.analyzer.detector import detect_notifications
 from repro.analyzer.features import (
     CORE_FEATURES,
-    CORE_FEATURES_WITH_PUBLISHER,
     FeatureExtractor,
 )
 from repro.analyzer.interests import PublisherDirectory
@@ -157,7 +156,3 @@ class TestVectors:
         assert full["hour_09"] == 1
         assert sum(full[f"hour_{h:02d}"] for h in range(24)) == 1
         assert sum(full[f"dow_{d}"] for d in range(7)) == 1
-
-    def test_publisher_feature_set_is_extension(self):
-        assert set(CORE_FEATURES) < set(CORE_FEATURES_WITH_PUBLISHER)
-        assert "publisher" in CORE_FEATURES_WITH_PUBLISHER

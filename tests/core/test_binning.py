@@ -90,7 +90,7 @@ class TestAssign:
         labels = binner.assign(prices)
         for cls in range(binner.n_classes):
             members = prices[labels == cls]
-            assert members.min() <= binner.representative(cls) <= members.max()
+            assert members.min() <= binner.representatives[cls] <= members.max()
 
 
 class TestSerialization:

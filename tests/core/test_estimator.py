@@ -85,16 +85,6 @@ class TestBitIdentity:
             result.classes, np.argmax(_raw_proba(model, rows), axis=1)
         )
 
-    def test_explain_matches_legacy_explain_one(self, model, rows):
-        """``explain`` reports the same numbers the estimate path does."""
-        explanation = model.explain(rows[0])
-        result = model.estimate(rows[:1])
-        assert explanation["predicted_class"] == int(result.classes[0])
-        assert explanation["estimated_cpm"] == float(result.prices[0])
-        assert explanation["class_probabilities"] == (
-            _raw_proba(model, rows[:1])[0].tolist()
-        )
-
     def test_time_correction_is_applied(self, model, rows):
         result = model.estimate(rows)
         assert model.time_correction == 1.23

@@ -152,16 +152,6 @@ class TestTimeCorrectionRoundTrip:
         assert "forest.predict_proba" in names
         assert "estimator.estimate" not in names
 
-    def test_explain_one_reports_corrected_price(self, campaign, model):
-        package = model.to_package()
-        package["time_correction"] = 1.37
-        estimator = Estimator.from_package(package)
-        row = campaign.feature_rows()[0]
-        explanation = estimator.explain(row)
-        assert explanation["estimated_cpm"] == pytest.approx(
-            estimator.estimate_one(row)
-        )
-
     def test_legacy_package_defaults_to_neutral(self, model):
         package = model.to_package()
         del package["time_correction"]             # pre-PR-3 artefact

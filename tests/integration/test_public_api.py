@@ -23,6 +23,8 @@ UNREACHED_ALLOWLIST = {
     "read_observations_csv": "library API that validates an outside CSV",
     "read_weblog_chunks": "bounded-memory reader for logs too large to hold",
     "enable_profiling": "in-process twin of REPRO_OBS_PROFILE, documented in DESIGN.md",
+    "PAPER_FP_RATE": "paper §5.4 figure; its siblings are read by benchmarks",
+    "PAPER_RECALL": "paper §5.4 figure; its siblings are read by benchmarks",
 }
 
 PACKAGES = (
@@ -99,12 +101,19 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _public_definitions(src: Path) -> dict[str, str]:
-    """``{name: "file:line"}`` for every public top-level def and class,
-    and every public method of a top-level class (keyed ``Class.method``)."""
+    """``{name: "file:line"}`` for every public top-level def, class and
+    module-level assignment, and every public method of a top-level
+    class (keyed ``Class.method``)."""
     found = {}
     for path in sorted(src.rglob("*.py")):
-        where = path.relative_to(REPO)
+        where = path.relative_to(src.parent)
         for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                        found[target.id] = f"{where}:{node.lineno}"
+                continue
             if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             found[node.name] = f"{where}:{node.lineno}"
@@ -127,9 +136,11 @@ def _all_entries(tree: ast.Module) -> set[int]:
 
 def _references(roots) -> Counter:
     """Name uses across ``roots``, not counting definitions, package
-    ``__init__`` imports and ``__all__`` entries.  A string that names an
-    attribute path (``"Dsp.respond"``, as the perfbench shims patch by
-    name) counts for each of its parts."""
+    ``__init__`` imports and ``__all__`` entries.  A string counts as a
+    use of the name or dotted path it spells: ``"merge"`` (``getattr``
+    by name) uses ``merge``, ``"Dsp.respond"`` (as the perfbench shims
+    patch by name) uses ``Dsp.respond``, and a span name such as
+    ``"analyzer.merge"`` uses only ``analyzer.merge``."""
     uses: Counter = Counter()
     for root in roots:
         for path in sorted(root.rglob("*.py")):
@@ -148,31 +159,62 @@ def _references(roots) -> Counter:
                 elif isinstance(node, ast.alias):
                     uses[node.name.rsplit(".", 1)[-1]] += 1
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    parts = node.value.split(".")
-                    if all(part.isidentifier() for part in parts):
-                        uses.update(parts)
+                    if all(part.isidentifier() for part in node.value.split(".")):
+                        uses[node.value] += 1
     return uses
+
+
+def _reached(name: str, uses: Counter) -> bool:
+    """A definition is reached when its key is used (a dotted string
+    names ``Class.method`` in full) or, for a method, its bare name."""
+    return bool(uses[name] or uses[name.rsplit(".", 1)[-1]])
 
 
 @pytest.mark.tier1
 def test_every_public_name_is_reached_outside_tests():
     """Code that only tests call is a second way to do a job; delete it,
     move it to ``tests/`` as a double or oracle, or allowlist it with a
-    reason.  A method counts as reached when its bare name is used."""
+    reason."""
     definitions = _public_definitions(REPO / "src" / "repro")
     uses = _references(REPO / tree for tree in PRODUCT_TREES)
-
-    def reached(name: str) -> bool:
-        return bool(uses[name.rsplit(".", 1)[-1]])
-
     unreached = sorted(
         f"{where}: {name}"
         for name, where in definitions.items()
-        if not reached(name) and name not in UNREACHED_ALLOWLIST
+        if not _reached(name, uses) and name not in UNREACHED_ALLOWLIST
     )
     assert not unreached, "reached only from tests/:\n" + "\n".join(unreached)
     stale = sorted(
         name for name in UNREACHED_ALLOWLIST
-        if name not in definitions or reached(name)
+        if name not in definitions or _reached(name, uses)
     )
     assert not stale, f"allowlisted names now gone or reached: {stale}"
+
+
+@pytest.mark.tier1
+def test_reach_rules_on_a_synthetic_tree(tmp_path):
+    """The guard's own rules: a dotted string reaches only the dotted
+    target it spells, a plain string reaches its name, and a module
+    constant read only from tests is reported."""
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        "LIMIT = 3\n\n\nclass C:\n    def merge(self):\n        pass\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import LIMIT\n\nassert LIMIT == 3\n"
+    )
+    definitions = _public_definitions(tmp_path / "src" / "pkg")
+    assert set(definitions) == {"LIMIT", "C", "C.merge"}
+
+    product = tmp_path / "product"
+    product.mkdir()
+
+    def reached_by(caller: str) -> set[str]:
+        (product / "caller.py").write_text(f"from pkg.mod import C\n{caller}\n")
+        uses = _references([tmp_path / "src", product])
+        return {name for name in definitions if _reached(name, uses)}
+
+    assert "C.merge" not in reached_by('span("pkg.merge")')
+    assert "C.merge" in reached_by('patch("C.merge")')
+    assert "C.merge" in reached_by('getattr(C(), "merge")')
+    assert "LIMIT" not in reached_by("C()")

@@ -21,6 +21,9 @@ benchmarks can hold the production paths against them:
   the production ``value`` rows.  :func:`forest_proba` is also the
   per-tree forest loop the whole-forest arena replaced: given the
   production per-tree ``predict_proba`` it sums one tree at a time;
+* :func:`decision_path` -- the ``(feature, threshold, went_left)``
+  steps one row takes through a flat tree, which the model golden
+  digests pin;
 * :func:`frame_encoder_transform` -- ``FrameEncoder.transform`` as it
   was before it built its matrix in one call: column lists, an
   ``OrdinalEncoder`` matrix of the categorical columns, then one slice
@@ -258,6 +261,20 @@ def _descend(columns, row: np.ndarray) -> int:
 def leaf_for(tree, row: np.ndarray) -> int:
     """The leaf node id one row reaches, by pointer chasing."""
     return _descend(_columns(tree), row)
+
+
+def decision_path(flat, row: np.ndarray) -> list[tuple[int, float, bool]]:
+    """The ``(feature, threshold, went_left)`` steps of one row through
+    a :class:`repro.ml.flat.FlatTree`."""
+    path: list[tuple[int, float, bool]] = []
+    node = 0
+    while flat.feature[node] >= 0:
+        feature = int(flat.feature[node])
+        threshold = float(flat.threshold[node])
+        went_left = bool(row[feature] <= threshold)
+        path.append((feature, threshold, went_left))
+        node = flat.left[node] if went_left else flat.right[node]
+    return path
 
 
 def _leaf_proba(counts: np.ndarray, n_classes: int) -> np.ndarray:

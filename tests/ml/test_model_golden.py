@@ -10,8 +10,9 @@ load.  These digests pin, to the last bit:
   space one label wider than its trees (so every tree is widened at
   load);
 * ``predict_proba`` of a fresh fit at ``workers=1`` and ``workers=2``;
-* tree 0's ``depth``, ``n_leaves`` and ``decision_path`` on fixed rows,
-  both for the fresh fit and for the loaded fixture.
+* tree 0's ``depth``, ``n_leaves`` and decision paths on fixed rows
+  (walked by the ``decision_path`` oracle), both for the fresh fit and
+  for the loaded fixture.
 
 Node ids, the payload layout and the fitted structure's representation
 may change; none of these numbers may.
@@ -28,6 +29,7 @@ import pytest
 
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.serialize import forest_from_dict
+from tests.ml.reference import decision_path
 
 pytestmark = pytest.mark.tier1
 
@@ -85,7 +87,7 @@ def _proba_digest(forest: RandomForestClassifier) -> str:
 
 def _tree0_digest(forest: RandomForestClassifier) -> str:
     tree = forest.trees_[0]
-    paths = [tree.decision_path(row) for row in _queries()[:8]]
+    paths = [decision_path(tree.flat_, row) for row in _queries()[:8]]
     text = json.dumps([tree.depth(), tree.n_leaves(), paths])
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -6,7 +6,6 @@ import pytest
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import (
     cross_validate_classifier,
-    kfold_indices,
     stratified_kfold_indices,
     train_test_split,
 )
@@ -35,27 +34,6 @@ class TestTrainTestSplit:
             train_test_split(1)
 
 
-class TestKFold:
-    def test_each_sample_tested_exactly_once(self):
-        seen = np.zeros(50, dtype=int)
-        for train, test in kfold_indices(50, 5, seed=0):
-            seen[test] += 1
-            assert len(set(train) & set(test)) == 0
-        assert np.all(seen == 1)
-
-    def test_fold_count(self):
-        folds = list(kfold_indices(30, 3, seed=0))
-        assert len(folds) == 3
-
-    def test_too_many_folds_raises(self):
-        with pytest.raises(ValueError):
-            list(kfold_indices(3, 10))
-
-    def test_single_fold_rejected(self):
-        with pytest.raises(ValueError):
-            list(kfold_indices(10, 1))
-
-
 class TestStratifiedKFold:
     def test_class_balance_preserved(self):
         y = np.array([0] * 40 + [1] * 10)
@@ -68,9 +46,16 @@ class TestStratifiedKFold:
     def test_partition_complete(self):
         y = np.array([0, 1] * 25)
         seen = np.zeros(50, dtype=int)
-        for _, test in stratified_kfold_indices(y, 5, seed=1):
+        folds = list(stratified_kfold_indices(y, 5, seed=1))
+        assert len(folds) == 5
+        for train, test in folds:
             seen[test] += 1
+            assert len(set(train) & set(test)) == 0
         assert np.all(seen == 1)
+
+    def test_single_fold_rejected(self):
+        with pytest.raises(ValueError):
+            list(stratified_kfold_indices([0, 1] * 5, 1))
 
 
 class TestCrossValidate:

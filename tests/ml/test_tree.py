@@ -91,14 +91,6 @@ class TestClassifierBasics:
         tree = DecisionTreeClassifier(max_depth=4).fit(x, y)
         assert np.argmax(tree.feature_importances_) == 0
 
-    def test_decision_path_reaches_leaf(self):
-        x, y = _separable_data()
-        tree = DecisionTreeClassifier(max_depth=5).fit(x, y)
-        path = tree.decision_path(x[0])
-        assert len(path) <= tree.depth()
-        for feature, threshold, went_left in path:
-            assert 0 <= feature < x.shape[1]
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=2, max_value=5))
     def test_multiclass_labels_covered(self, n_classes):

@@ -5,7 +5,6 @@ import pytest
 from repro.rtb.adslots import AdSlotSize, sort_by_area
 from repro.rtb.cookiesync import CookieSyncRegistry, synced_uid
 from repro.rtb.entities import (
-    DSP_NAMES,
     ENCRYPTING_ADXS,
     MARKET_SHARES,
     Advertiser,
@@ -94,9 +93,6 @@ class TestMarketRoster:
 
     def test_encrypting_adxs_in_roster(self):
         assert set(ENCRYPTING_ADXS) <= set(MARKET_SHARES)
-
-    def test_dsp_names_nonempty(self):
-        assert len(DSP_NAMES) >= 5
 
 
 class TestEntities:

@@ -49,8 +49,10 @@ class TestFirstPriceClearing:
 
 
 class TestExchangeMechanism:
-    def _run(self, mechanism):
+    def _run(self, mechanism, set_after=None):
         adx = AdExchange("MoPub", stream(f"fp-{mechanism}"), mechanism=mechanism)
+        if set_after is not None:
+            adx.mechanism = set_after
         dsps = [
             Dsp("D1", FixedBidEngine(2.0), stream("fp1"), [Campaign("c1", "a")]),
             Dsp("D2", FixedBidEngine(1.0), stream("fp2"), [Campaign("c2", "a")]),
@@ -71,3 +73,9 @@ class TestExchangeMechanism:
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(ValueError):
             AdExchange("MoPub", stream("fp3"), mechanism="all_pay")
+
+    def test_unknown_mechanism_set_after_construction_raises(self):
+        """A misspelt mechanism set past the constructor's check must not
+        silently clear second-price."""
+        with pytest.raises(ValueError, match="all_pay"):
+            self._run("second_price", set_after="all_pay")

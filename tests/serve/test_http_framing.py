@@ -62,6 +62,11 @@ class TestRequestParsing:
             b"GET / HTTP/1.1\r\nbad header\r\n\r\n",  # no colon
             b"GET / HTTP/1.1\r\nContent-Length: z\r\n\r\n",
             b"GET / HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            # int() would read these as 10 and 3; bodies are complete.
+            b"POST / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+            b"POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+            b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+            b"Content-Length: 5\r\n\r\nabcde",    # conflicting lengths
         ],
     )
     def test_malformed_rejected_with_400(self, raw):
@@ -81,10 +86,12 @@ class TestRequestParsing:
         assert err.value.status == 431
 
     def test_oversized_body_413(self):
-        raw = b"POST / HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
-        with pytest.raises(HttpError) as err:
-            parse(raw, max_body_bytes=1000)
-        assert err.value.status == 413
+        # 5,000 digits is past what int() converts.
+        for length in (b"100000", b"9" * 5000):
+            raw = b"POST / HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n"
+            with pytest.raises(HttpError) as err:
+                parse(raw, max_body_bytes=1000)
+            assert err.value.status == 413
 
     def test_chunked_not_implemented(self):
         raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"

@@ -1,7 +1,7 @@
 """Real-socket integration tests for the PME serving subsystem.
 
 Every test starts a :class:`repro.serve.PmeServer` on an ephemeral
-127.0.0.1 port and talks to it through the loadgen's stdlib client, so
+127.0.0.1 port and talks to it through the stdlib client of ``benchmarks/loadgen.py``, so
 client and server framing are exercised against each other end to end
 (the CLI smoke test additionally covers urllib interop).
 """
@@ -17,9 +17,9 @@ from repro.core.contributions import ContributionServer
 from repro.core.estimator import Estimator
 from repro.core.pme import PriceModelingEngine
 from repro.serve import PmeServer
-from repro.serve.loadgen import Connection, run_load
 from repro.trace.simulate import build_market, small_config
 from repro.util.rng import RngRegistry, derive_seed
+from benchmarks.loadgen import Connection, run_load
 
 TIME_CORRECTION = 1.21
 

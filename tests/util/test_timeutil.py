@@ -5,7 +5,6 @@ import pytest
 from repro.util.timeutil import (
     CAMPAIGN_A1_PERIOD,
     CAMPAIGN_A2_PERIOD,
-    DATASET_PERIOD,
     Period,
     day_of_week,
     epoch,
@@ -49,6 +48,5 @@ class TestPeriod:
             Period(10.0, 5.0)
 
     def test_paper_windows(self):
-        assert DATASET_PERIOD.days == 365
         assert round(CAMPAIGN_A1_PERIOD.days) == 13
         assert round(CAMPAIGN_A2_PERIOD.days) == 8
