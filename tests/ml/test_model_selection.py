@@ -34,6 +34,21 @@ class TestTrainTestSplit:
             train_test_split(1)
 
 
+class TestKFold:
+    def test_each_sample_tested_exactly_once(self):
+        y = np.array([0] * 37 + [1] * 13)
+        seen = np.zeros(50, dtype=int)
+        for train, test in stratified_kfold_indices(y, 5, seed=0):
+            seen[test] += 1
+            assert len(set(train) & set(test)) == 0
+            assert len(train) + len(test) == 50
+        assert np.all(seen == 1)
+
+    def test_fold_count(self):
+        folds = list(stratified_kfold_indices([0, 1, 1] * 10, 3, seed=0))
+        assert len(folds) == 3
+
+
 class TestStratifiedKFold:
     def test_class_balance_preserved(self):
         y = np.array([0] * 40 + [1] * 10)
